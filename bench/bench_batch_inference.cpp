@@ -5,9 +5,9 @@
 // predict_proba_batch call over the dataset's zero-copy view, and reports
 // nanoseconds per sample plus the batch speedup.  The two paths are bitwise
 // identical by construction (see tests/batch), so this measures pure
-// mechanical win: no per-row virtual dispatch or row gather, lockstep
-// multi-lane tree traversal for the ensembles, whole-batch matmuls for the
-// neural models.  Emits BENCH_batch.json (drlhmd-bench/1 schema) as the
+// mechanical win: no per-row virtual dispatch or row gather, the shared-
+// encode cut-index kernel (ForestKernel) for the tree detectors,
+// whole-batch matmuls for the neural models.  Emits BENCH_batch.json (drlhmd-bench/1 schema) as the
 // last stdout line, which is what the benchdiff regression gate consumes.
 #include <algorithm>
 #include <cstdio>

@@ -7,10 +7,10 @@
 //
 // The interface is batch-first: predict_proba_batch(BatchView, out) is the
 // hot path, fed zero-copy from columnar storage, and every detector
-// overrides it with a vectorized implementation (block tree traversal for
-// RF/DT/GBDT, whole-batch matmul for LR/MLP/NN) that is bit-for-bit
+// overrides it with a vectorized implementation (the cut-index ForestKernel
+// for RF/DT/GBDT, whole-batch matmul for LR/MLP/NN) that is bit-for-bit
 // identical to scoring the rows one at a time.  predict_proba(span) is the
-// single-row compatibility adapter.
+// single-row compatibility adapter and the oracle the parity tests use.
 #pragma once
 
 #include <cstdint>
@@ -59,15 +59,10 @@ class Classifier {
   virtual void predict_proba_batch(BatchView batch,
                                    std::span<double> out) const;
 
-  /// Serving-oriented batch scoring: same contract as predict_proba_batch
-  /// but allowed to run the quantized/arena kernel layer, whose
-  /// probabilities may differ from the reference path in the last float
-  /// bits while hard 0.5 decisions stay exact for the tree ensembles (the
-  /// kernels quantize thresholds onto the per-feature cut grid, preserving
-  /// every comparison outcome — see DESIGN.md §12).  Default forwards to
-  /// the bitwise-exact path; detectors with a kernel override it.
-  virtual void predict_proba_batch_fast(BatchView batch,
-                                        std::span<double> out) const {
+  /// Alias of predict_proba_batch for callers of the former separate
+  /// "fast" contract (drlhmd_bench/drlhmd_bench.cpp).  predict_proba_batch
+  /// is both the fastest path and bitwise exact; new code calls it.
+  void predict_proba_batch_fast(BatchView batch, std::span<double> out) const {
     predict_proba_batch(batch, out);
   }
 

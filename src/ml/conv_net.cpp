@@ -78,7 +78,6 @@ void ConvNetClassifier::fit_stream(const DataSource& train) {
       net_.adam_step(config_.learning_rate);
     }
   }
-  qnet_ = nn::QuantizedNetwork::build(net_);
 }
 
 double ConvNetClassifier::predict_proba(std::span<const double> features) const {
@@ -118,34 +117,6 @@ void ConvNetClassifier::predict_proba_batch(BatchView batch,
   }
 }
 
-void ConvNetClassifier::predict_proba_batch_quantized(
-    BatchView batch, std::span<double> out) const {
-  if (!trained()) throw std::logic_error("ConvNetClassifier: not trained");
-  check_batch_out(batch, out);
-  if (batch.cols() != in_features_)
-    throw std::invalid_argument("ConvNetClassifier: feature width mismatch");
-  if (!qnet_.ready()) {  // unsupported topology: exact fallback
-    predict_proba_batch(batch, out);
-    return;
-  }
-  util::ArenaScope scope(util::scratch_arena());
-  const std::size_t block = std::min(kBlockRows, batch.rows());
-  auto rows_buf = scope.alloc<double>(block * in_features_);
-  auto probs = scope.alloc<double>(block * 2);
-  for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kBlockRows) {
-    const std::size_t count = std::min(kBlockRows, batch.rows() - r0);
-    for (std::size_t c = 0; c < in_features_; ++c) {
-      const ColumnView colc = batch.col(c);
-      for (std::size_t r = 0; r < count; ++r)
-        rows_buf[r * in_features_ + c] = colc[r0 + r];
-    }
-    qnet_.infer_rows(rows_buf.data(), count, in_features_, probs.data(),
-                     scope.arena());
-    nn::softmax_rows(probs.data(), count, 2);
-    for (std::size_t r = 0; r < count; ++r) out[r0 + r] = probs[r * 2 + 1];
-  }
-}
-
 std::vector<std::uint8_t> ConvNetClassifier::serialize() const {
   util::ByteWriter w;
   w.write_string("NN");
@@ -164,7 +135,6 @@ ConvNetClassifier ConvNetClassifier::deserialize(std::span<const std::uint8_t> b
   ConvNetClassifier model;
   model.in_features_ = static_cast<std::size_t>(r.read_u64());
   model.net_ = nn::Network::deserialize(r.read_bytes());
-  model.qnet_ = nn::QuantizedNetwork::build(model.net_);  // never serialized
   return model;
 }
 

@@ -36,13 +36,6 @@ class ConvNetClassifier final : public Classifier {
   /// Whole-batch forward pass (conv + dense layers are row-local).
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
-  /// Explicit opt-in Q15 fixed-point scoring: probabilities within ~1e-3
-  /// of the reference with identical argmax labels (kernel parity suite).
-  /// Deliberately NOT the predict_proba_batch_fast override — the runtime
-  /// decision path stays on the bitwise-exact network.
-  void predict_proba_batch_quantized(BatchView batch,
-                                     std::span<double> out) const;
-  bool quantized_ready() const { return qnet_.ready(); }
   std::string name() const override { return "NN"; }
   std::vector<std::uint8_t> serialize() const override;
   std::unique_ptr<Classifier> clone_untrained() const override;
@@ -55,7 +48,6 @@ class ConvNetClassifier final : public Classifier {
  private:
   ConvNetConfig config_;
   nn::Network net_;
-  nn::QuantizedNetwork qnet_;  // Q15 mirror; rebuilt on fit/deserialize
   std::size_t in_features_ = 0;
 };
 

@@ -22,11 +22,6 @@ constexpr std::uint8_t kFormatVersion = 1;
 /// preserving the exact trees the seed implementation produced.
 constexpr std::size_t kParallelSplitRows = 2048;
 
-/// Rows traversed in lockstep by the batch path.  Each sweep advances every
-/// pending lane one level, keeping up to this many independent dependent-load
-/// chains in flight instead of serializing them row by row.
-constexpr std::size_t kTraversalLanes = 16;
-
 /// Gini impurity of a (weighted) binary count pair.
 double gini(double n_pos, double n_total) {
   if (n_total <= 0.0) return 0.0;
@@ -78,7 +73,7 @@ void DecisionTree::fit_weighted(const ColumnAccess& train,
     throw std::invalid_argument("DecisionTree::fit_weighted: all weights zero");
   util::Rng rng(config_.seed);
   build(train, weights, rows, 0, rng);
-  build_flat();
+  build_kernel();
 }
 
 std::uint32_t DecisionTree::build(const ColumnAccess& train,
@@ -241,28 +236,7 @@ double DecisionTree::predict_proba(std::span<const double> features) const {
   }
 }
 
-void DecisionTree::build_flat() {
-  flat_.assign(nodes_.size(), FlatNode{});
-  flat_depth_ = 0;
-  required_width_ = 0;
-  if (nodes_.empty()) return;
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    FlatNode& flat = flat_[i];
-    if (node.feature == Node::kLeaf) {
-      // Self-loop: whichever way the (dummy) compare goes, the lane stays
-      // parked on its leaf for the remaining sweeps.
-      flat.kid[0] = flat.kid[1] = i;
-    } else {
-      flat.feature = node.feature;
-      flat.threshold = node.threshold;
-      flat.kid[0] = node.left;
-      flat.kid[1] = node.right;
-      required_width_ = std::max(required_width_, node.feature + 1);
-    }
-  }
-  flat_depth_ = depth() - 1;  // root->leaf transitions
-
+void DecisionTree::build_kernel() {
   std::vector<std::vector<KernelBuildNode>> trees;
   append_kernel_tree(trees);
   kernel_.build(trees);
@@ -287,98 +261,18 @@ void DecisionTree::append_kernel_tree(
   trees.push_back(std::move(tree));
 }
 
-void DecisionTree::predict_proba_batch_fast(BatchView batch,
-                                            std::span<double> out) const {
-  if (!trained()) throw std::logic_error("DecisionTree: not trained");
-  check_batch_out(batch, out);
-  if (batch.rows() == 0) return;
-  // A single tree never amortizes the kernel's encode stage: quantizing a
-  // row costs one binary search per feature but serves only one traversal,
-  // so the exact FlatNode sweep is the faster path here (ensembles reuse
-  // the codes across every member tree — that is where the kernel wins).
-  // The kernel still serves the fused configuration, whose contract is
-  // raw, unscaled batch columns that the exact path cannot consume.
-  if (kernel_.ready() && kernel_.fused()) {
-    std::fill(out.begin(), out.end(), 0.0);
-    kernel_.accumulate(batch, out);
-    return;
-  }
-  predict_proba_batch(batch, out);
-}
-
-void DecisionTree::score_block(BatchView batch, std::size_t row0,
-                               std::size_t count, std::span<double> out,
-                               bool accumulate) const {
-  // Lockstep descent over the flat mirror: every lane advances one level
-  // per sweep, so up to kTraversalLanes independent node->value load
-  // chains are in flight instead of one per row.  The body compiles to a
-  // handful of instructions with no data-dependent branch — the child is
-  // an indexed load (kid[0/1]), leaves self-loop, and the trip count is
-  // the fixed flat_depth_, so the branch predictor sees only counted
-  // loops.  `v <= threshold ? 0 : 1` keeps the row path's NaN behavior
-  // (NaN goes right).  Callers validate feature width once per batch call
-  // (required_width_) and peel root-is-leaf stumps, so column 0 is always
-  // readable for the dummy load a parked lane issues.
-  std::uint32_t idx[kTraversalLanes];
-  for (std::size_t l = 0; l < count; ++l) idx[l] = 0;
-  const FlatNode* flat = flat_.data();
-  const double* base = batch.col(0).data();
-  const std::size_t stride = batch.stride();
-  if (count == kTraversalLanes) {
-    for (std::size_t step = 0; step < flat_depth_; ++step) {
-      for (std::size_t l = 0; l < kTraversalLanes; ++l) {
-        const FlatNode& n = flat[idx[l]];
-        const double v = base[n.feature * stride + row0 + l];
-        idx[l] = n.kid[v <= n.threshold ? 0 : 1];
-      }
-    }
-  } else {
-    for (std::size_t step = 0; step < flat_depth_; ++step) {
-      for (std::size_t l = 0; l < count; ++l) {
-        const FlatNode& n = flat[idx[l]];
-        const double v = base[n.feature * stride + row0 + l];
-        idx[l] = n.kid[v <= n.threshold ? 0 : 1];
-      }
-    }
-  }
-  const Node* nodes = nodes_.data();
-  if (accumulate) {
-    for (std::size_t l = 0; l < count; ++l) out[row0 + l] += nodes[idx[l]].proba;
-  } else {
-    for (std::size_t l = 0; l < count; ++l) out[row0 + l] = nodes[idx[l]].proba;
-  }
-}
-
 void DecisionTree::predict_proba_batch(BatchView batch,
                                        std::span<double> out) const {
   if (!trained()) throw std::logic_error("DecisionTree: not trained");
   check_batch_out(batch, out);
-  if (batch.rows() == 0) return;
-  if (required_width_ > batch.cols())
-    throw std::invalid_argument("DecisionTree: feature width mismatch");
-  if (nodes_[0].feature == Node::kLeaf) {
-    std::fill(out.begin(), out.end(), nodes_[0].proba);
+  if (!kernel_.ready()) {  // over the kernel's cut budget
+    Classifier::predict_proba_batch(batch, out);
     return;
   }
-  for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kTraversalLanes)
-    score_block(batch, r0, std::min(kTraversalLanes, batch.rows() - r0), out,
-                /*accumulate=*/false);
-}
-
-void DecisionTree::accumulate_proba_batch(BatchView batch,
-                                          std::span<double> out) const {
-  if (!trained()) throw std::logic_error("DecisionTree: not trained");
-  check_batch_out(batch, out);
-  if (batch.rows() == 0) return;
-  if (required_width_ > batch.cols())
-    throw std::invalid_argument("DecisionTree: feature width mismatch");
-  if (nodes_[0].feature == Node::kLeaf) {
-    for (double& v : out) v += nodes_[0].proba;
-    return;
-  }
-  for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kTraversalLanes)
-    score_block(batch, r0, std::min(kTraversalLanes, batch.rows() - r0), out,
-                /*accumulate=*/true);
+  // -0.0 is the exact additive identity (0.0 + -0.0 would flip a -0.0
+  // leaf's sign), so out[r] is the leaf value itself, as in the row walk.
+  std::fill(out.begin(), out.end(), -0.0);
+  kernel_.accumulate(batch, out);
 }
 
 std::size_t DecisionTree::depth() const {
@@ -430,7 +324,7 @@ DecisionTree DecisionTree::deserialize(std::span<const std::uint8_t> bytes) {
     n.right = r.read_u32();
     n.proba = r.read_f64();
   }
-  tree.build_flat();
+  tree.build_kernel();
   return tree;
 }
 

@@ -39,32 +39,14 @@ class DecisionTree final : public Classifier {
                     std::span<const std::uint32_t> weights);
 
   double predict_proba(std::span<const double> features) const override;
-  /// Block traversal: lanes of up to 16 rows walk the tree in lockstep so
-  /// their dependent node loads overlap.  Bitwise identical to the row path.
+  /// Scores through the cut-index kernel (DESIGN.md §12); bitwise
+  /// identical to the row path.  Falls back to the row loop when the tree
+  /// exceeds the kernel's cut budget.
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
-  /// out[r] += P(malware | batch row r).  RandomForest uses this to
-  /// accumulate trees over a whole batch in row-path summation order.
-  void accumulate_proba_batch(BatchView batch, std::span<double> out) const;
-  /// Fast batch scoring.  A lone tree cannot amortize the kernel's
-  /// per-tile encode stage, so this stays on the bitwise-exact FlatNode
-  /// sweep — except when fuse_preprocess() has rewritten the kernel to
-  /// consume raw columns, where the quantized kernel is the only correct
-  /// reader (decisions exact; probabilities differ only by float leaf
-  /// rounding).
-  void predict_proba_batch_fast(BatchView batch,
-                                std::span<double> out) const override;
   /// Append this tree's nodes in ForestKernel build form; RandomForest
   /// fuses all member trees into one ensemble kernel.
   void append_kernel_tree(std::vector<std::vector<KernelBuildNode>>& trees) const;
-  /// Fuse scaler + feature selection into the kernel (see
-  /// ForestKernel::fuse_preprocess): the fast path then consumes raw,
-  /// unscaled batch columns.  The exact paths are unaffected.
-  void fuse_preprocess(std::span<const double> mean,
-                       std::span<const double> scale,
-                       std::span<const std::uint32_t> columns) {
-    kernel_.fuse_preprocess(mean, scale, columns);
-  }
   const ForestKernel& kernel() const { return kernel_; }
   std::string name() const override { return "DT"; }
   std::vector<std::uint8_t> serialize() const override;
@@ -92,32 +74,12 @@ class DecisionTree final : public Classifier {
                       std::vector<std::size_t>& rows, std::size_t depth,
                       util::Rng& rng);
 
-  /// Batch traversal mirror of nodes_, rebuilt by fit/deserialize (never
-  /// serialized).  Children sit in an indexable pair so the descent is a
-  /// pure `idx = kid[v <= threshold ? 0 : 1]` — no select, no branch — and
-  /// leaves self-loop (kid[0] == kid[1] == self, feature 0), so the sweep
-  /// needs no leaf test: it just runs flat_depth_ levels and every lane
-  /// parks on its leaf.
-  struct FlatNode {
-    std::uint32_t feature = 0;
-    std::uint32_t kid[2] = {0, 0};
-    double threshold = 0.0;
-  };
-
-  /// Rebuild flat_ / flat_depth_ / required_width_ from nodes_.
-  void build_flat();
-
-  /// Traverse rows [row0, row0 + count) in lockstep; count <= 16.  Writes
-  /// (or adds to, when `accumulate`) out[row0 + l].
-  void score_block(BatchView batch, std::size_t row0, std::size_t count,
-                   std::span<double> out, bool accumulate) const;
+  /// Rebuild kernel_ from nodes_ (fit/deserialize).
+  void build_kernel();
 
   DecisionTreeConfig config_;
   std::vector<Node> nodes_;
-  std::vector<FlatNode> flat_;
-  ForestKernel kernel_;  // quantized mirror; rebuilt by fit/deserialize
-  std::size_t flat_depth_ = 0;        // transitions from root to deepest leaf
-  std::uint32_t required_width_ = 0;  // widest feature index + 1
+  ForestKernel kernel_;  // derived from nodes_; rebuilt, never serialized
 };
 
 }  // namespace drlhmd::ml

@@ -15,7 +15,7 @@ namespace {
 // Also the compile-time stride of the feature-major code tile, so the hot
 // loop's code address is one indexed load instead of a runtime multiply.
 constexpr std::size_t kTile = 1024;
-// Lockstep traversal lanes, matching the FlatNode batch paths.
+// Rows that descend each tree in lockstep.
 constexpr std::size_t kLanes = 16;
 
 // Independent branchless binary searches advanced in lockstep by the
@@ -26,39 +26,26 @@ constexpr std::size_t kLanes = 16;
 // plays with its node chains.
 constexpr std::size_t kProbeLanes = 8;
 
-// Branchless lower_bound: #{ cuts[i] < v }.  The comparison compiles to a
-// conditional move, so random probe values cost log2(n) predictable steps
-// instead of log2(n) mispredicted branches.  Requires n >= 1.  NaN
-// compares false everywhere and returns 0; callers special-case it.
+// `step` if `below`, else 0, as a mask: GCC turns the equivalent ternary
+// into a data-dependent branch, which random probe values mispredict about
+// half the time.
+inline std::uint32_t step_if(bool below, std::uint32_t step) {
+  return step & (0u - static_cast<std::uint32_t>(below));
+}
+
+// Branchless lower_bound: #{ cuts[i] < v } in log2(n) predictable steps.
+// Requires n >= 1.  NaN compares false everywhere and returns 0; callers
+// special-case it.
 inline std::uint32_t count_below(const double* cuts, std::uint32_t n,
                                  double v) {
   const double* base = cuts;
   std::uint32_t len = n;
   while (len > 1) {
     const std::uint32_t half = len / 2;
-    base += (base[half - 1] < v) ? half : 0;
+    base += step_if(base[half - 1] < v, half);
     len -= half;
   }
-  return static_cast<std::uint32_t>(base - cuts) +
-         (base[0] < v ? 1u : 0u);
-}
-
-// Largest double X with (X - m) / s <= t, i.e. the raw-space image of the
-// scaled-space cut t under the scaler's own double arithmetic.  The seed
-// t*s + m is within a few ulps of the boundary; nextafter walks the rest.
-double raw_space_cut(double t, double m, double s) {
-  const double inf = std::numeric_limits<double>::infinity();
-  double x = t * s + m;
-  if (!std::isfinite(x))
-    x = std::copysign(std::numeric_limits<double>::max(), x);
-  const auto below = [&](double v) { return (v - m) / s <= t; };
-  if (below(x)) {
-    while (below(std::nextafter(x, inf))) x = std::nextafter(x, inf);
-  } else {
-    do x = std::nextafter(x, -inf);
-    while (!below(x));
-  }
-  return x;
+  return static_cast<std::uint32_t>(base - cuts) + step_if(base[0] < v, 1);
 }
 
 }  // namespace
@@ -67,13 +54,12 @@ void ForestKernel::build(const std::vector<std::vector<KernelBuildNode>>& trees)
   nodes_.clear();
   scaled_nodes_.clear();
   leaf_values_.clear();
+  thresholds_.clear();
   roots_.clear();
   depths_.clear();
   cuts_.clear();
   cut_offsets_.clear();
-  feature_map_.clear();
   required_width_ = 0;
-  fused_ = false;
   if (trees.empty()) return;
 
   // Pass 1: the per-feature cut grid (sorted distinct thresholds).
@@ -106,6 +92,7 @@ void ForestKernel::build(const std::vector<std::vector<KernelBuildNode>>& trees)
   for (const auto& tree : trees) total_nodes += tree.size();
   nodes_.reserve(total_nodes);
   leaf_values_.reserve(total_nodes);
+  thresholds_.reserve(total_nodes);
   roots_.reserve(trees.size());
   depths_.reserve(trees.size());
 
@@ -141,91 +128,40 @@ void ForestKernel::build(const std::vector<std::vector<KernelBuildNode>>& trees)
     depths_.push_back(depth);
 
     nodes_.resize(base + tree.size());
-    leaf_values_.resize(base + tree.size(), 0.0f);
+    leaf_values_.resize(base + tree.size(), 0.0);
+    thresholds_.resize(base + tree.size(),
+                       std::numeric_limits<double>::quiet_NaN());
     for (std::size_t old = 0; old < tree.size(); ++old) {
       const KernelBuildNode& src = tree[old];
-      Node& dst = nodes_[base + remap[old]];
+      const std::uint32_t slot = base + remap[old];
+      Node& dst = nodes_[slot];
       if (src.leaf) {
-        dst.feature = 0;
-        dst.tq = kLeafTq;
-        dst.left = base + remap[old];  // self-loop: lane parks here
-        leaf_values_[base + remap[old]] = static_cast<float>(src.value);
+        // Self-loop: the step always adds 1 (uint32 wrap keeps slot 0 valid).
+        dst.left = slot - 1;
+        leaf_values_[slot] = src.value;
         continue;
       }
       const double* cuts = cuts_.data() + cut_offsets_[src.feature];
       const double* end = cuts_.data() + cut_offsets_[src.feature + 1];
       const double* hit = std::lower_bound(cuts, end, src.threshold);
       dst.feature = static_cast<std::uint16_t>(src.feature);
-      dst.tq = static_cast<std::uint16_t>(hit - cuts);
+      dst.tq = static_cast<std::uint16_t>(hit - cuts + 1);
       dst.left = base + remap[src.left];
+      thresholds_[slot] = src.threshold;
       required_width_ = std::max(required_width_,
                                  static_cast<std::size_t>(src.feature) + 1);
     }
   }
 
-  feature_map_.resize(n_features);
-  for (std::size_t f = 0; f < n_features; ++f)
-    feature_map_[f] = static_cast<std::uint32_t>(f);
-  bake_scaled();
-}
-
-void ForestKernel::fuse_preprocess(std::span<const double> mean,
-                                   std::span<const double> scale,
-                                   std::span<const std::uint32_t> columns) {
-  if (!ready()) throw std::logic_error("ForestKernel::fuse_preprocess: not built");
-  const std::size_t n_features = cut_offsets_.size() - 1;
-  if (mean.size() < required_width_ || scale.size() < required_width_ ||
-      columns.size() < required_width_)
-    throw std::invalid_argument(
-        "ForestKernel::fuse_preprocess: mean/scale/columns too narrow");
-
-  // Rewrite each feature's cut grid into raw space.  The map is monotone,
-  // but two scaled cuts with no representable scaled value between them
-  // collapse onto one raw cut — dedupe and remap the node tq indices.
-  std::vector<double> new_cuts;
-  std::vector<std::uint32_t> new_offsets{0};
-  std::vector<std::uint16_t> tq_remap(cuts_.size());
-  new_cuts.reserve(cuts_.size());
-  for (std::size_t f = 0; f < n_features; ++f) {
-    const std::uint32_t begin = cut_offsets_[f];
-    const std::uint32_t end = cut_offsets_[f + 1];
-    const std::uint32_t row_base = static_cast<std::uint32_t>(new_cuts.size());
-    for (std::uint32_t j = begin; j < end; ++j) {
-      const double raw =
-          f < mean.size() ? raw_space_cut(cuts_[j], mean[f], scale[f]) : cuts_[j];
-      if (new_cuts.size() == row_base || new_cuts.back() != raw)
-        new_cuts.push_back(raw);
-      tq_remap[j] = static_cast<std::uint16_t>(new_cuts.size() - 1 - row_base);
-    }
-    new_offsets.push_back(static_cast<std::uint32_t>(new_cuts.size()));
+  // Scaled-node mirror (feature index pre-multiplied by the code-tile
+  // stride, so the hot loop adds it straight to the lane offset).
+  // feature * kTile + lane must fit the uint16 field: up to 64 features at
+  // the 1024-row tile stride; wider ensembles take the tiled path.
+  if (n_features * kTile <= 65536) {
+    scaled_nodes_ = nodes_;
+    for (Node& node : scaled_nodes_)
+      node.feature = static_cast<std::uint16_t>(node.feature * kTile);
   }
-  for (Node& node : nodes_)
-    if (node.tq != kLeafTq)
-      node.tq = tq_remap[cut_offsets_[node.feature] + node.tq];
-  cuts_ = std::move(new_cuts);
-  cut_offsets_ = std::move(new_offsets);
-
-  std::size_t width = 0;
-  for (std::size_t f = 0; f < n_features; ++f) {
-    feature_map_[f] = f < columns.size() ? columns[f]
-                                         : static_cast<std::uint32_t>(f);
-    if (cut_offsets_[f + 1] > cut_offsets_[f])
-      width = std::max(width, static_cast<std::size_t>(feature_map_[f]) + 1);
-  }
-  required_width_ = width;
-  fused_ = true;
-  bake_scaled();
-}
-
-void ForestKernel::bake_scaled() {
-  scaled_nodes_.clear();
-  const std::size_t n_features = cut_offsets_.size() - 1;
-  // feature * kTile + lane must fit the uint16 field: up to 64 model
-  // features at the 1024-row tile stride.
-  if (n_features * kTile > 65536) return;
-  scaled_nodes_ = nodes_;
-  for (Node& node : scaled_nodes_)
-    node.feature = static_cast<std::uint16_t>(node.feature * kTile);
 }
 
 void ForestKernel::encode_tile(BatchView batch, std::size_t t0,
@@ -240,7 +176,7 @@ void ForestKernel::encode_tile(BatchView batch, std::size_t t0,
       continue;
     }
     const double* const cuts = cuts_.data() + cut_offsets_[f];
-    const double* const col = batch.col(feature_map_[f]).data() + t0;
+    const double* const col = batch.col(f).data() + t0;
     std::size_t r = 0;
     for (; r + kProbeLanes <= tile; r += kProbeLanes) {
       const double* base[kProbeLanes];
@@ -253,21 +189,21 @@ void ForestKernel::encode_tile(BatchView batch, std::size_t t0,
       while (len > 1) {
         const std::uint32_t half = len / 2;
         for (std::size_t g = 0; g < kProbeLanes; ++g)
-          base[g] += (base[g][half - 1] < v[g]) ? half : 0;
+          base[g] += step_if(base[g][half - 1] < v[g], half);
         len -= half;
       }
       for (std::size_t g = 0; g < kProbeLanes; ++g) {
         const std::uint32_t code = static_cast<std::uint32_t>(base[g] - cuts) +
-                                   (base[g][0] < v[g] ? 1u : 0u);
+                                   step_if(base[g][0] < v[g], 1);
         // NaN compares false: always right, like v <= t.
         crow[r + g] = static_cast<std::uint16_t>(
-            std::isnan(v[g]) ? kLeafTq : code);
+            std::isnan(v[g]) ? kNanCode : code);
       }
     }
     for (; r < tile; ++r) {
       const double v = col[r];
       crow[r] = static_cast<std::uint16_t>(
-          std::isnan(v) ? kLeafTq : count_below(cuts, n_cuts, v));
+          std::isnan(v) ? kNanCode : count_below(cuts, n_cuts, v));
     }
   }
 }
@@ -286,14 +222,14 @@ void ForestKernel::accumulate_scaled(BatchView batch,
   auto codes = scope.alloc<std::uint16_t>(n_features * kTile);
 
   const Node* const nodes = scaled_nodes_.data();
-  const float* const leaves = leaf_values_.data();
+  const double* const leaves = leaf_values_.data();
   for (std::size_t t0 = 0; t0 < rows; t0 += kTile) {
     const std::size_t tile = std::min(kTile, rows - t0);
     encode_tile(batch, t0, tile, codes.data(), kTile);
 
     // Tree-major lockstep traversal.  Tree loop outside the lane loop
     // keeps each tree's node span streaming through cache once per tile;
-    // accumulation order over trees matches the exact batch paths.
+    // accumulation order over trees matches the row path.
     for (std::size_t t = 0; t < roots_.size(); ++t) {
       const std::uint32_t root = roots_[t];
       const std::uint32_t depth = depths_[t];
@@ -308,7 +244,7 @@ void ForestKernel::accumulate_scaled(BatchView batch,
 #define DRLHMD_FK_LANE(k)                                              \
   {                                                                    \
     const Node n = nodes[i##k];                                        \
-    i##k = n.left + (ctile[n.feature + k] > n.tq ? 1u : 0u);           \
+    i##k = n.left + (ctile[n.feature + k] >= n.tq ? 1u : 0u);          \
   }
           DRLHMD_FK_LANE(0) DRLHMD_FK_LANE(1) DRLHMD_FK_LANE(2)
           DRLHMD_FK_LANE(3) DRLHMD_FK_LANE(4) DRLHMD_FK_LANE(5)
@@ -319,22 +255,22 @@ void ForestKernel::accumulate_scaled(BatchView batch,
 #undef DRLHMD_FK_LANE
         }
         double* const o = out.data() + t0 + r0;
-        o[0] += static_cast<double>(leaves[i0]);
-        o[1] += static_cast<double>(leaves[i1]);
-        o[2] += static_cast<double>(leaves[i2]);
-        o[3] += static_cast<double>(leaves[i3]);
-        o[4] += static_cast<double>(leaves[i4]);
-        o[5] += static_cast<double>(leaves[i5]);
-        o[6] += static_cast<double>(leaves[i6]);
-        o[7] += static_cast<double>(leaves[i7]);
-        o[8] += static_cast<double>(leaves[i8]);
-        o[9] += static_cast<double>(leaves[i9]);
-        o[10] += static_cast<double>(leaves[i10]);
-        o[11] += static_cast<double>(leaves[i11]);
-        o[12] += static_cast<double>(leaves[i12]);
-        o[13] += static_cast<double>(leaves[i13]);
-        o[14] += static_cast<double>(leaves[i14]);
-        o[15] += static_cast<double>(leaves[i15]);
+        o[0] += leaves[i0];
+        o[1] += leaves[i1];
+        o[2] += leaves[i2];
+        o[3] += leaves[i3];
+        o[4] += leaves[i4];
+        o[5] += leaves[i5];
+        o[6] += leaves[i6];
+        o[7] += leaves[i7];
+        o[8] += leaves[i8];
+        o[9] += leaves[i9];
+        o[10] += leaves[i10];
+        o[11] += leaves[i11];
+        o[12] += leaves[i12];
+        o[13] += leaves[i13];
+        o[14] += leaves[i14];
+        o[15] += leaves[i15];
       }
       if (r0 < tile) {  // partial-lane tail (last tile only)
         const std::size_t count = tile - r0;
@@ -344,11 +280,11 @@ void ForestKernel::accumulate_scaled(BatchView batch,
         for (std::uint32_t d = 0; d < depth; ++d) {
           for (std::size_t l = 0; l < count; ++l) {
             const Node n = nodes[idx[l]];
-            idx[l] = n.left + (ctile[n.feature + l] > n.tq ? 1u : 0u);
+            idx[l] = n.left + (ctile[n.feature + l] >= n.tq ? 1u : 0u);
           }
         }
         for (std::size_t l = 0; l < count; ++l)
-          out[t0 + r0 + l] += static_cast<double>(leaves[idx[l]]);
+          out[t0 + r0 + l] += leaves[idx[l]];
       }
     }
   }
@@ -365,7 +301,7 @@ void ForestKernel::accumulate_tiled(BatchView batch,
   auto codes = scope.alloc<std::uint16_t>(n_features * kTile);
 
   const Node* const nodes = nodes_.data();
-  const float* const leaves = leaf_values_.data();
+  const double* const leaves = leaf_values_.data();
   for (std::size_t t0 = 0; t0 < rows; t0 += kTile) {
     const std::size_t tile = std::min(kTile, rows - t0);
     encode_tile(batch, t0, tile, codes.data(), kTile);
@@ -382,12 +318,50 @@ void ForestKernel::accumulate_tiled(BatchView batch,
           for (std::size_t l = 0; l < count; ++l) {
             const Node n = nodes[idx[l]];
             idx[l] =
-                n.left + (ctile[n.feature * kTile + l] > n.tq ? 1u : 0u);
+                n.left + (ctile[n.feature * kTile + l] >= n.tq ? 1u : 0u);
           }
         }
         for (std::size_t l = 0; l < count; ++l)
-          out[t0 + r0 + l] += static_cast<double>(leaves[idx[l]]);
+          out[t0 + r0 + l] += leaves[idx[l]];
       }
+    }
+  }
+}
+
+// Direct path (a lone tree, e.g. DT): the encode stage pays one binary
+// search per (feature, row) that only one traversal would reuse, so it
+// costs more than it saves.  Each step instead compares the raw double
+// against the node's own threshold: `v <= t ? left : right`, NaN going
+// right.  Same nodes, same leaves.
+void ForestKernel::accumulate_direct(BatchView batch,
+                                     std::span<double> out) const {
+  const std::size_t rows = batch.rows();
+  const double* const col0 = batch.col(0).data();
+  const std::size_t stride = batch.stride();
+  const Node* const nodes = nodes_.data();
+  const double* const thresholds = thresholds_.data();
+  const double* const leaves = leaf_values_.data();
+  for (std::size_t t = 0; t < roots_.size(); ++t) {
+    const std::uint32_t root = roots_[t];
+    const std::uint32_t depth = depths_[t];
+    for (std::size_t r0 = 0; r0 < rows; r0 += kLanes) {
+      const std::size_t count = std::min(kLanes, rows - r0);
+      const double* const x = col0 + r0;
+      std::uint32_t idx[kLanes];
+      for (std::size_t l = 0; l < count; ++l) idx[l] = root;
+      const auto descend = [&](std::size_t l) {
+        const Node n = nodes[idx[l]];
+        const bool left = x[n.feature * stride + l] <= thresholds[idx[l]];
+        idx[l] = n.left + (left ? 0u : 1u);
+      };
+      for (std::uint32_t d = 0; d < depth; ++d) {
+        if (count == kLanes) {  // constant trip count: fully unrolled
+          for (std::size_t l = 0; l < kLanes; ++l) descend(l);
+        } else {
+          for (std::size_t l = 0; l < count; ++l) descend(l);
+        }
+      }
+      for (std::size_t l = 0; l < count; ++l) out[r0 + l] += leaves[idx[l]];
     }
   }
 }
@@ -396,10 +370,12 @@ void ForestKernel::accumulate(BatchView batch, std::span<double> out) const {
   if (!ready()) throw std::logic_error("ForestKernel::accumulate: not built");
   if (out.size() != batch.rows())
     throw std::invalid_argument("ForestKernel::accumulate: out size mismatch");
+  if (batch.rows() == 0) return;
   if (batch.cols() < required_width_)
     throw std::invalid_argument("ForestKernel::accumulate: feature width mismatch");
-  if (batch.rows() == 0) return;
-  if (!scaled_nodes_.empty())
+  if (roots_.size() == 1)
+    accumulate_direct(batch, out);
+  else if (!scaled_nodes_.empty())
     accumulate_scaled(batch, out);
   else
     accumulate_tiled(batch, out);

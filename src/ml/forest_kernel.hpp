@@ -1,4 +1,5 @@
-// Quantized SoA inference kernel for tree ensembles (DT / RF / GBDT).
+// Cut-index SoA inference kernel for tree ensembles (DT / RF / GBDT): the
+// one batch scoring path of every tree detector.
 //
 // The per-tree pointer-chasing layouts are fused into one contiguous
 // ensemble arena of 8-byte nodes, and every threshold comparison is
@@ -7,17 +8,19 @@
 //   cuts[f]  = sorted distinct thresholds used by feature f anywhere in
 //              the ensemble;
 //   code(x)  = #{ c in cuts[f] : c < x }   (uint16, lower_bound)
-//   x <= t   <=>  code(x) <= tq            where cuts[f][tq] == t
+//   x <= t   <=>  code(x) < tq             where cuts[f][tq - 1] == t
 //
 // so the traversal decision `x <= threshold ? left : right` becomes
-// `left + (code > tq)` — branch-free, 8 bytes of node state, and *exact*:
+// `left + (code >= tq)` — branch-free, 8 bytes of node state, and *exact*:
 // every double that reaches the comparison lands on the same side as the
 // reference path (NaN maps to code 0xFFFF and therefore always goes
 // right, matching `v <= t ? 0 : 1`).  Codes are computed once per
 // (feature, row) tile and shared by every tree in the ensemble.
 //
-// The speedup over the FlatNode path comes from three structural changes
-// the exact path cannot make:
+// Leaf payloads stay double and each row sums them in tree order, the
+// order the row-at-a-time `predict_proba` walk uses, so the kernel's output
+// is bit-for-bit the row path's.  Its speed over a per-node double compare
+// comes from three structural changes:
 //   * shared encode — the binary search against the thresholds is hoisted
 //     out of the traversal and paid once per (feature, row) tile instead
 //     of once per tree level, as interleaved branchless searches that are
@@ -26,9 +29,11 @@
 //     scalar indices (never spilled), and each level costs one 8-byte
 //     node load plus one uint16 code load with the code-tile offset baked
 //     into the node, compare, select — no branches, no multiplies;
-//   * quantized state — 8-byte nodes and 2-byte codes instead of 24-byte
-//     FlatNodes and 8-byte doubles keep the whole ensemble cache-resident
-//     while every tree replays the tile.
+//   * quantized state — 8-byte nodes and 2-byte codes instead of
+//     pointer-linked nodes and 8-byte doubles keep the whole ensemble
+//     cache-resident while every tree replays the tile.
+// A lone tree (DT) has nothing to share the encode with, so it walks the
+// same nodes comparing raw doubles against each node's threshold instead.
 //
 // The kernel is a derived artifact: rebuilt on fit()/deserialize(), never
 // serialized.  Scratch comes from the per-thread arena (zero heap
@@ -61,7 +66,7 @@ class ForestKernel {
   /// Distinct-threshold budget per feature: one more and the uint16 cut
   /// code (with 0xFFFF reserved for NaN) could not index the grid, so
   /// build() refuses and ready() stays false (callers fall back to the
-  /// exact FlatNode path).
+  /// row-at-a-time loop).
   static constexpr std::size_t kMaxCuts = 65000;
 
   /// Build the quantized ensemble from per-tree node vectors.  Leaves the
@@ -69,66 +74,50 @@ class ForestKernel {
   /// uint16 feature/cut budgets.
   void build(const std::vector<std::vector<KernelBuildNode>>& trees);
 
-  /// Fuse a standard scaler + feature selection into the cut grid: cut c
-  /// of model feature f is rewritten to the largest double X with
-  /// (X - mean[f]) / scale[f] <= c (the caller's double-precision
-  /// transform), and feature f is remapped to raw column columns[f].
-  /// Afterwards accumulate() consumes raw, unscaled BatchView columns and
-  /// makes exactly the same decisions the exact path makes on the scaled
-  /// view.  mean/scale/columns are indexed by model feature and must
-  /// cover required_width() entries.
-  void fuse_preprocess(std::span<const double> mean,
-                       std::span<const double> scale,
-                       std::span<const std::uint32_t> columns);
-
   bool ready() const { return !roots_.empty(); }
-  bool fused() const { return fused_; }
   std::size_t tree_count() const { return roots_.size(); }
   std::size_t node_count() const { return nodes_.size(); }
   /// Minimum batch width accepted by accumulate().
   std::size_t required_width() const { return required_width_; }
 
-  /// out[r] += sum over trees of the (float) leaf value reached by row r.
-  /// Caller owns the initial contents of `out` (zero for DT/RF, the base
-  /// score for GBDT).  Tree-major accumulation order matches the exact
-  /// batch paths.
+  /// out[r] += leaf value reached by row r, added tree by tree in build
+  /// order.  Caller owns the initial contents of `out`; started from the
+  /// row path's start value (0.0 for RF, the base score for GBDT, -0.0,
+  /// the exact additive identity, for DT) the result is bit-for-bit the
+  /// row path's sum.
   void accumulate(BatchView batch, std::span<double> out) const;
 
  private:
   // 8-byte quantized node.  Internal: children are DFS-adjacent
-  // (right == left + 1), so `left + (code > tq)` selects the child.
-  // Leaf: tq == kLeafTq and left == own index — code is a uint16 and can
-  // never exceed 0xFFFF, so leaf lanes self-loop ("park") for the rest of
-  // the fixed-depth trip.
+  // (right == left + 1), so `left + (code >= tq)` selects the child.
+  // Leaf: left == own index - 1, tq == 0 and threshold NaN, so both the
+  // encoded step (every code is >= 0) and the direct step (nothing is
+  // <= NaN) add 1 and the lane self-loops ("parks") for the rest of the
+  // fixed-depth trip.
   struct Node {
     std::uint16_t feature = 0;
     std::uint16_t tq = 0;
     std::uint32_t left = 0;
   };
-  static constexpr std::uint16_t kLeafTq = 0xFFFF;
+  static constexpr std::uint16_t kNanCode = 0xFFFF;  // above every tq
 
-  /// Rebuild scaled_nodes_ (feature index pre-multiplied by the code-tile
-  /// stride so the hot loop adds it straight to the lane offset) after the
-  /// cut grid changes; clears it when feature * stride overflows uint16
-  /// (ensembles wider than 64 model features fall back to the tiled path).
-  void bake_scaled();
   /// Stage 1: quantize tile rows [t0, t0 + tile) onto the cut grid into a
   /// feature-major code tile, codes[f * tile_cap + r].
   void encode_tile(BatchView batch, std::size_t t0, std::size_t tile,
                    std::uint16_t* codes, std::size_t tile_cap) const;
+  void accumulate_direct(BatchView batch, std::span<double> out) const;
   void accumulate_scaled(BatchView batch, std::span<double> out) const;
   void accumulate_tiled(BatchView batch, std::span<double> out) const;
 
   std::vector<Node> nodes_;         // all trees, DFS order, children adjacent
   std::vector<Node> scaled_nodes_;  // mirror with feature := feature * stride
-  std::vector<float> leaf_values_;  // per node; 0 for internal nodes
+  std::vector<double> leaf_values_;  // per node; 0 for internal nodes
+  std::vector<double> thresholds_;   // per node; NaN for leaves
   std::vector<std::uint32_t> roots_;
   std::vector<std::uint32_t> depths_;       // fixed trip count per tree
   std::vector<double> cuts_;                // CSR threshold grid by feature
   std::vector<std::uint32_t> cut_offsets_;  // size n_model_features + 1
-  std::vector<std::uint32_t> feature_map_;  // model feature -> batch column
   std::size_t required_width_ = 0;
-  bool fused_ = false;
 };
 
 }  // namespace drlhmd::ml

@@ -171,7 +171,7 @@ void Gbdt::fit_stream(const DataSource& train) {
     trees_.push_back(std::move(tree));
   }
   trained_ = true;
-  build_flat();
+  build_kernel();
 }
 
 Gbdt::Tree Gbdt::grow_tree(const std::vector<std::vector<std::uint8_t>>& binned,
@@ -348,44 +348,7 @@ double Gbdt::predict_proba(std::span<const double> features) const {
   return sigmoid(raw_score(features));
 }
 
-void Gbdt::build_flat() {
-  flat_trees_.assign(trees_.size(), {});
-  flat_depths_.assign(trees_.size(), 0);
-  required_width_ = 0;
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    const Tree& tree = trees_[t];
-    std::vector<FlatNode>& flat = flat_trees_[t];
-    flat.assign(tree.size(), FlatNode{});
-    for (std::uint32_t i = 0; i < tree.size(); ++i) {
-      const Node& node = tree[i];
-      if (node.feature == Node::kLeaf) {
-        flat[i].kid[0] = flat[i].kid[1] = i;  // parked lane stays on its leaf
-      } else {
-        flat[i].feature = static_cast<std::uint32_t>(node.feature);
-        flat[i].threshold = node.threshold;
-        flat[i].kid[0] = static_cast<std::uint32_t>(node.left);
-        flat[i].kid[1] = static_cast<std::uint32_t>(node.right);
-        required_width_ = std::max(
-            required_width_, static_cast<std::size_t>(node.feature) + 1);
-      }
-    }
-    // Max root->leaf transition count: the lockstep sweep's trip count.
-    std::size_t max_d = 0;
-    std::vector<std::pair<std::int32_t, std::size_t>> stack{{0, 0}};
-    while (!stack.empty()) {
-      const auto [i, d] = stack.back();
-      stack.pop_back();
-      const Node& node = tree[static_cast<std::size_t>(i)];
-      if (node.feature == Node::kLeaf) {
-        max_d = std::max(max_d, d);
-        continue;
-      }
-      stack.push_back({node.left, d + 1});
-      stack.push_back({node.right, d + 1});
-    }
-    flat_depths_[t] = max_d;
-  }
-
+void Gbdt::build_kernel() {
   std::vector<std::vector<KernelBuildNode>> forest(trees_.size());
   for (std::size_t t = 0; t < trees_.size(); ++t) {
     const Tree& tree = trees_[t];
@@ -407,74 +370,15 @@ void Gbdt::build_flat() {
   kernel_.build(forest);
 }
 
-void Gbdt::predict_proba_batch_fast(BatchView batch,
-                                    std::span<double> out) const {
+void Gbdt::predict_proba_batch(BatchView batch, std::span<double> out) const {
   if (!trained_) throw std::logic_error("Gbdt: not trained");
   check_batch_out(batch, out);
-  if (!kernel_.ready()) {  // over the uint16 cut budget: exact fallback
-    predict_proba_batch(batch, out);
+  if (!kernel_.ready()) {  // over the kernel's cut budget
+    Classifier::predict_proba_batch(batch, out);
     return;
   }
   std::fill(out.begin(), out.end(), base_score_);
   kernel_.accumulate(batch, out);
-  for (double& v : out) v = sigmoid(v);
-}
-
-void Gbdt::raw_score_batch(BatchView batch, std::span<double> out) const {
-  if (!trained_) throw std::logic_error("Gbdt: not trained");
-  check_batch_out(batch, out);
-  std::fill(out.begin(), out.end(), base_score_);
-  if (batch.rows() == 0) return;
-  // Width is validated once per call (precomputed by build_flat); the
-  // traversal loop below carries no bounds check.
-  if (required_width_ > batch.cols())
-    throw std::invalid_argument("Gbdt: feature width mismatch");
-  // Tree-outer, lockstep block-inner over the flat mirrors: per-row leaf
-  // values accumulate in the exact tree order raw_score() uses, while up
-  // to kLanes independent node->value load chains stay in flight per
-  // block.  The sweep body has no data-dependent branch — the child is an
-  // indexed load (kid[0/1]), leaves self-loop, and the trip count is the
-  // tree's fixed depth (see DecisionTree::score_block).
-  constexpr std::size_t kLanes = 16;
-  const double* base = batch.col(0).data();
-  const std::size_t stride = batch.stride();
-  for (std::size_t t = 0; t < trees_.size(); ++t) {
-    const Tree& tree = trees_[t];
-    if (tree[0].feature == Node::kLeaf) {  // stump round
-      for (double& v : out) v += tree[0].value;
-      continue;
-    }
-    const FlatNode* flat = flat_trees_[t].data();
-    const std::size_t depth = flat_depths_[t];
-    const Node* nodes = tree.data();
-    for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kLanes) {
-      const std::size_t count = std::min(kLanes, batch.rows() - r0);
-      std::uint32_t idx[kLanes];
-      for (std::size_t l = 0; l < count; ++l) idx[l] = 0;
-      if (count == kLanes) {
-        for (std::size_t step = 0; step < depth; ++step) {
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            const FlatNode& n = flat[idx[l]];
-            const double v = base[n.feature * stride + r0 + l];
-            idx[l] = n.kid[v <= n.threshold ? 0 : 1];
-          }
-        }
-      } else {
-        for (std::size_t step = 0; step < depth; ++step) {
-          for (std::size_t l = 0; l < count; ++l) {
-            const FlatNode& n = flat[idx[l]];
-            const double v = base[n.feature * stride + r0 + l];
-            idx[l] = n.kid[v <= n.threshold ? 0 : 1];
-          }
-        }
-      }
-      for (std::size_t l = 0; l < count; ++l) out[r0 + l] += nodes[idx[l]].value;
-    }
-  }
-}
-
-void Gbdt::predict_proba_batch(BatchView batch, std::span<double> out) const {
-  raw_score_batch(batch, out);
   for (double& v : out) v = sigmoid(v);
 }
 
@@ -518,7 +422,7 @@ Gbdt Gbdt::deserialize(std::span<const std::uint8_t> bytes) {
     }
   }
   model.trained_ = true;
-  model.build_flat();
+  model.build_kernel();
   return model;
 }
 

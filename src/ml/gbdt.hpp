@@ -35,23 +35,12 @@ class Gbdt final : public Classifier {
   /// adapter, so streamed and monolithic fits build byte-identical models.
   void fit_stream(const DataSource& train) override;
   double predict_proba(std::span<const double> features) const override;
-  /// Tree-outer block traversal (16-lane lockstep); bitwise identical to
+  /// Ensemble kernel: all boosting rounds fused into one SoA arena over a
+  /// shared per-feature cut grid.  Leaf values add to the base score in
+  /// round order, so scores are bitwise identical to
   /// sigmoid(raw_score(row)) per row.
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
-  /// Quantized ensemble kernel: all boosting rounds fused into one SoA
-  /// arena over a shared per-feature cut grid.  Split decisions are exact;
-  /// the raw score (and hence the probability) differs from the exact path
-  /// only by float rounding of the per-round leaf values (~1e-7 relative).
-  void predict_proba_batch_fast(BatchView batch,
-                                std::span<double> out) const override;
-  /// Fuse scaler + feature selection into the ensemble kernel (see
-  /// ForestKernel::fuse_preprocess).
-  void fuse_preprocess(std::span<const double> mean,
-                       std::span<const double> scale,
-                       std::span<const std::uint32_t> columns) {
-    kernel_.fuse_preprocess(mean, scale, columns);
-  }
   const ForestKernel& kernel() const { return kernel_; }
   std::string name() const override { return "LightGBM"; }
   std::vector<std::uint8_t> serialize() const override;
@@ -64,8 +53,6 @@ class Gbdt final : public Classifier {
 
   /// Raw additive score before the sigmoid (log-odds).
   double raw_score(std::span<const double> features) const;
-  /// out[r] = raw_score of batch row r (same accumulation order).
-  void raw_score_batch(BatchView batch, std::span<double> out) const;
 
  private:
   struct Node {
@@ -83,27 +70,14 @@ class Gbdt final : public Classifier {
                  std::span<const double> gradients, std::span<const double> hessians,
                  std::size_t n_rows) const;
 
-  /// Batch traversal mirror of one tree, rebuilt by fit/deserialize (never
-  /// serialized).  Children sit in an indexable pair so the descent is a
-  /// pure `idx = kid[v <= threshold ? 0 : 1]`, and leaves self-loop, so
-  /// the lockstep sweep needs no leaf test (see DecisionTree::FlatNode).
-  struct FlatNode {
-    std::uint32_t feature = 0;
-    std::uint32_t kid[2] = {0, 0};
-    double threshold = 0.0;
-  };
-
-  /// Rebuild flat_trees_ / flat_depths_ / required_width_ from trees_.
-  void build_flat();
+  /// Rebuild kernel_ from trees_ (fit/deserialize).
+  void build_kernel();
 
   GbdtConfig config_;
   std::vector<Tree> trees_;
   double base_score_ = 0.0;  // prior log-odds
   bool trained_ = false;
-  ForestKernel kernel_;  // quantized mirror; rebuilt, never serialized
-  std::vector<std::vector<FlatNode>> flat_trees_;
-  std::vector<std::size_t> flat_depths_;  // root->leaf transitions per tree
-  std::size_t required_width_ = 0;        // widest feature index + 1
+  ForestKernel kernel_;  // derived from trees_; rebuilt, never serialized
 };
 
 }  // namespace drlhmd::ml

@@ -29,13 +29,6 @@ class MlpClassifier final : public Classifier {
   /// Whole-batch forward pass (one matmul per layer instead of N).
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
-  /// Explicit opt-in Q15 fixed-point scoring: probabilities within ~1e-3
-  /// of the reference with identical argmax labels (kernel parity suite).
-  /// Deliberately NOT the predict_proba_batch_fast override — the runtime
-  /// decision path stays on the bitwise-exact network.
-  void predict_proba_batch_quantized(BatchView batch,
-                                     std::span<double> out) const;
-  bool quantized_ready() const { return qnet_.ready(); }
   std::string name() const override { return "MLP"; }
   std::vector<std::uint8_t> serialize() const override;
   std::unique_ptr<Classifier> clone_untrained() const override;
@@ -48,7 +41,6 @@ class MlpClassifier final : public Classifier {
  private:
   MlpConfig config_;
   nn::Network net_;  // const paths use infer(), so no mutable needed
-  nn::QuantizedNetwork qnet_;  // Q15 mirror; rebuilt on fit/deserialize
   std::size_t in_features_ = 0;
 };
 

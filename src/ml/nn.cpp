@@ -523,181 +523,6 @@ LossResult mse_loss(const Matrix& predictions, const Matrix& targets) {
   return result;
 }
 
-// ---------------------------------------------------- QuantizedNetwork --
-
-namespace {
-
-// int16 activation * int16 weight products accumulate in int64:
-// |acc| <= in_cols * 32767^2 ~= in_cols * 1.07e9, exact for any sane
-// width.  The cap bounds the per-row quantization scratch instead.
-constexpr std::size_t kQuantMaxInCols = 4096;
-constexpr double kActScale = 32767.0;
-
-std::int16_t quantize_weight(double w, double inv_scale) {
-  long q = std::lround(w * inv_scale);
-  q = std::clamp(q, -32767L, 32767L);
-  return static_cast<std::int16_t>(q);
-}
-
-std::int16_t quantize_activation(double x, double inv_scale) {
-  long q = std::lround(x * inv_scale);
-  q = std::clamp(q, -32767L, 32767L);
-  return static_cast<std::int16_t>(q);
-}
-
-}  // namespace
-
-QuantizedNetwork QuantizedNetwork::build(const Network& net) {
-  QuantizedNetwork q;
-  std::vector<QLinear> built;
-  for (const auto& layer_ptr : net.layers()) {
-    const Layer* layer = layer_ptr.get();
-    if (const auto* dense = dynamic_cast<const Dense*>(layer)) {
-      const Matrix& w = dense->weights();  // (in, out)
-      if (w.rows() > kQuantMaxInCols) return q;
-      QLinear ql;
-      ql.in_cols = w.rows();
-      ql.out_cols = w.cols();
-      ql.w.resize(ql.out_cols * ql.in_cols);
-      ql.scale.resize(ql.out_cols);
-      ql.bias.resize(ql.out_cols);
-      for (std::size_t j = 0; j < ql.out_cols; ++j) {
-        double amax = 0.0;
-        for (std::size_t k = 0; k < ql.in_cols; ++k)
-          amax = std::max(amax, std::fabs(w.at(k, j)));
-        const double s = amax > 0.0 ? amax / 32767.0 : 1.0;
-        ql.scale[j] = s;
-        const double inv = 1.0 / s;
-        // Transposed to (out, in) so each output unit's fan-in is
-        // contiguous for the int GEMM inner loop.
-        for (std::size_t k = 0; k < ql.in_cols; ++k)
-          ql.w[j * ql.in_cols + k] = quantize_weight(w.at(k, j), inv);
-        ql.bias[j] = dense->bias().at(0, j);
-      }
-      built.push_back(std::move(ql));
-    } else if (const auto* conv = dynamic_cast<const Conv1D*>(layer)) {
-      if (conv->in_channels() * conv->kernel() > kQuantMaxInCols) return q;
-      const Matrix& w = conv->weights();  // (out_ch, in_ch * kernel)
-      QLinear ql;
-      ql.conv = true;
-      ql.in_channels = conv->in_channels();
-      ql.out_channels = conv->out_channels();
-      ql.length = conv->length();
-      ql.kernel = conv->kernel();
-      ql.in_cols = ql.in_channels * ql.length;
-      ql.out_cols = conv->out_width();
-      ql.w.resize(w.rows() * w.cols());
-      ql.scale.resize(ql.out_channels);
-      ql.bias.resize(ql.out_channels);
-      for (std::size_t o = 0; o < ql.out_channels; ++o) {
-        double amax = 0.0;
-        for (std::size_t c = 0; c < w.cols(); ++c)
-          amax = std::max(amax, std::fabs(w.at(o, c)));
-        const double s = amax > 0.0 ? amax / 32767.0 : 1.0;
-        ql.scale[o] = s;
-        const double inv = 1.0 / s;
-        for (std::size_t c = 0; c < w.cols(); ++c)
-          ql.w[o * w.cols() + c] = quantize_weight(w.at(o, c), inv);
-        ql.bias[o] = conv->bias().at(0, o);
-      }
-      built.push_back(std::move(ql));
-    } else if (dynamic_cast<const Relu*>(layer) != nullptr) {
-      // Fused into the preceding linear layer's epilogue.
-      if (built.empty() || built.back().relu_after) return q;
-      built.back().relu_after = true;
-    } else {
-      return q;  // unknown layer kind: leave the mirror unbuilt
-    }
-  }
-  if (built.empty()) return q;
-  q.in_cols_ = built.front().in_cols;
-  q.out_cols_ = built.back().out_cols;
-  for (const QLinear& ql : built)
-    q.peak_cols_ = std::max({q.peak_cols_, ql.in_cols, ql.out_cols});
-  q.layers_ = std::move(built);
-  return q;
-}
-
-void QuantizedNetwork::infer_row(const double* in, double* out,
-                                 std::int16_t* qx, double* ping,
-                                 double* pong) const {
-  const double* cur = in;
-  double* buf[2] = {ping, pong};
-  std::size_t which = 0;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const QLinear& ql = layers_[l];
-    double* dst = (l + 1 == layers_.size()) ? out : buf[which];
-    which ^= 1;
-    double amax = 0.0;
-    for (std::size_t c = 0; c < ql.in_cols; ++c)
-      amax = std::max(amax, std::fabs(cur[c]));
-    if (amax == 0.0) {
-      // All-zero activation row: the GEMM contributes nothing.
-      if (!ql.conv) {
-        for (std::size_t j = 0; j < ql.out_cols; ++j) dst[j] = ql.bias[j];
-      } else {
-        const std::size_t out_len = ql.length - ql.kernel + 1;
-        for (std::size_t o = 0; o < ql.out_channels; ++o)
-          for (std::size_t p = 0; p < out_len; ++p)
-            dst[o * out_len + p] = ql.bias[o];
-      }
-    } else {
-      const double inv = kActScale / amax;
-      for (std::size_t c = 0; c < ql.in_cols; ++c)
-        qx[c] = quantize_activation(cur[c], inv);
-      const double deq = amax / kActScale;
-      if (!ql.conv) {
-        for (std::size_t j = 0; j < ql.out_cols; ++j) {
-          const std::int16_t* wrow = ql.w.data() + j * ql.in_cols;
-          std::int64_t acc = 0;
-          for (std::size_t c = 0; c < ql.in_cols; ++c)
-            acc += static_cast<std::int64_t>(wrow[c]) * qx[c];
-          dst[j] =
-              static_cast<double>(acc) * (ql.scale[j] * deq) + ql.bias[j];
-        }
-      } else {
-        const std::size_t out_len = ql.length - ql.kernel + 1;
-        for (std::size_t o = 0; o < ql.out_channels; ++o) {
-          const std::int16_t* wrow =
-              ql.w.data() + o * ql.in_channels * ql.kernel;
-          const double f = ql.scale[o] * deq;
-          for (std::size_t p = 0; p < out_len; ++p) {
-            std::int64_t acc = 0;
-            for (std::size_t i = 0; i < ql.in_channels; ++i) {
-              const std::int16_t* xw = qx + i * ql.length + p;
-              const std::int16_t* ww = wrow + i * ql.kernel;
-              for (std::size_t k = 0; k < ql.kernel; ++k)
-                acc += static_cast<std::int64_t>(ww[k]) * xw[k];
-            }
-            dst[o * out_len + p] = static_cast<double>(acc) * f + ql.bias[o];
-          }
-        }
-      }
-    }
-    if (ql.relu_after)
-      for (std::size_t j = 0; j < ql.out_cols; ++j)
-        dst[j] = dst[j] > 0.0 ? dst[j] : 0.0;
-    cur = dst;
-  }
-}
-
-void QuantizedNetwork::infer_rows(const double* in, std::size_t rows,
-                                  std::size_t in_cols, double* out,
-                                  util::Arena& arena) const {
-  if (!ready())
-    throw std::logic_error("QuantizedNetwork::infer_rows: mirror not built");
-  if (in_cols != in_cols_)
-    throw std::invalid_argument(
-        "QuantizedNetwork::infer_rows: input width mismatch");
-  util::ArenaScope scope(arena);
-  auto qx = scope.alloc<std::int16_t>(peak_cols_);
-  auto ping = scope.alloc<double>(peak_cols_);
-  auto pong = scope.alloc<double>(peak_cols_);
-  for (std::size_t r = 0; r < rows; ++r)
-    infer_row(in + r * in_cols_, out + r * out_cols_, qx.data(), ping.data(),
-              pong.data());
-}
-
 Network make_mlp(std::size_t in_features, const std::vector<std::size_t>& hidden,
                  std::size_t out_features, util::Rng& rng) {
   Network net;

@@ -192,56 +192,6 @@ Matrix softmax(const Matrix& logits);
 /// bitwise-identical to softmax().
 void softmax_rows(double* data, std::size_t rows, std::size_t cols);
 
-/// Fixed-point inference mirror of a Network (Dense/Relu/Conv1D chains):
-/// per-output-unit symmetric Q15 weights (scale = max|w|/32767), per-row
-/// dynamic int16 activations (32767/amax), int64 accumulation, dequantized
-/// to double between layers where bias add + ReLU run in full precision.
-/// (int8 weights were measured too coarse for the <1e-3 probability bound
-/// on the 64x64 MLP detector — see DESIGN.md §12.)  Width guard: layers
-/// wider than kQuantMaxInCols leave the mirror unbuilt (ready() == false)
-/// and callers fall back to the double path.
-///
-/// Probabilities track the reference within ~1e-3 with identical argmax on
-/// realistic detectors (enforced by the kernel parity suite) but are NOT
-/// bitwise equal, so this mirror is an explicit opt-in for serving — the
-/// bitwise row/batch contract keeps running through Network::infer_rows.
-/// Never serialized: rebuild from the float network on fit()/deserialize().
-class QuantizedNetwork {
- public:
-  QuantizedNetwork() = default;
-
-  /// Quantize `net`; leaves the mirror empty (ready() == false) when the
-  /// chain contains an unsupported pattern or an over-wide layer.
-  static QuantizedNetwork build(const Network& net);
-
-  bool ready() const { return !layers_.empty(); }
-  std::size_t in_cols() const { return in_cols_; }
-  std::size_t out_cols() const { return out_cols_; }
-
-  /// Allocation-free quantized forward (logits, like Network::infer_rows);
-  /// quantized-activation scratch comes from `arena`.
-  void infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
-                  double* out, util::Arena& arena) const;
-
- private:
-  struct QLinear {
-    bool conv = false;
-    bool relu_after = false;
-    std::size_t in_cols = 0, out_cols = 0;
-    std::size_t in_channels = 0, out_channels = 0, length = 0, kernel = 0;
-    std::vector<std::int16_t> w;  // Q15, row-major (out unit, fan-in weights)
-    std::vector<double> scale;   // per out unit: dequant factor for w
-    std::vector<double> bias;
-  };
-
-  void infer_row(const double* in, double* out, std::int16_t* qx,
-                 double* ping, double* pong) const;
-
-  std::vector<QLinear> layers_;
-  std::size_t in_cols_ = 0, out_cols_ = 0;
-  std::size_t peak_cols_ = 0;  // widest inter-layer activation
-};
-
 struct LossResult {
   double loss = 0.0;
   Matrix grad;  // dLoss/dLogits (already averaged over the batch)

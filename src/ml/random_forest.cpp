@@ -73,20 +73,6 @@ void RandomForest::build_kernel() {
   kernel_.build(forest);
 }
 
-void RandomForest::predict_proba_batch_fast(BatchView batch,
-                                            std::span<double> out) const {
-  if (!trained()) throw std::logic_error("RandomForest: not trained");
-  check_batch_out(batch, out);
-  if (!kernel_.ready()) {  // over the uint16 cut budget: exact fallback
-    predict_proba_batch(batch, out);
-    return;
-  }
-  std::fill(out.begin(), out.end(), 0.0);
-  kernel_.accumulate(batch, out);
-  const auto n = static_cast<double>(trees_.size());
-  for (double& v : out) v = v / n;
-}
-
 double RandomForest::predict_proba(std::span<const double> features) const {
   if (!trained()) throw std::logic_error("RandomForest: not trained");
   double total = 0.0;
@@ -98,8 +84,12 @@ void RandomForest::predict_proba_batch(BatchView batch,
                                        std::span<double> out) const {
   if (!trained()) throw std::logic_error("RandomForest: not trained");
   check_batch_out(batch, out);
+  if (!kernel_.ready()) {  // over the kernel's cut budget
+    Classifier::predict_proba_batch(batch, out);
+    return;
+  }
   std::fill(out.begin(), out.end(), 0.0);
-  for (const auto& tree : trees_) tree.accumulate_proba_batch(batch, out);
+  kernel_.accumulate(batch, out);
   const auto n = static_cast<double>(trees_.size());
   for (double& v : out) v = v / n;
 }

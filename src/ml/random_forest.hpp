@@ -27,25 +27,13 @@ class RandomForest final : public Classifier {
   /// monolithic fits build byte-identical forests.
   void fit_stream(const DataSource& train) override;
   double predict_proba(std::span<const double> features) const override;
-  /// Tree-outer, block-inner: each tree sweeps the whole batch with
-  /// 16-lane lockstep traversal; per-row tree sums accumulate in the same
-  /// order as the row path, so scores are bitwise identical.
+  /// Ensemble kernel: all member trees fused into one contiguous SoA
+  /// arena sharing a single per-feature cut grid, so each batch tile
+  /// quantizes its values once and every tree replays integer compares.
+  /// Per-row tree sums accumulate in row-path order, so scores are bitwise
+  /// identical to predict_proba.
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
-  /// Quantized ensemble kernel: all member trees fused into one contiguous
-  /// SoA arena sharing a single per-feature cut grid, so each batch tile
-  /// quantizes its values once and every tree replays integer compares.
-  /// Decisions are exact; the mean probability differs from the exact path
-  /// only by float leaf rounding (well inside any 0.5-threshold margin).
-  void predict_proba_batch_fast(BatchView batch,
-                                std::span<double> out) const override;
-  /// Fuse scaler + feature selection into the ensemble kernel (see
-  /// ForestKernel::fuse_preprocess).
-  void fuse_preprocess(std::span<const double> mean,
-                       std::span<const double> scale,
-                       std::span<const std::uint32_t> columns) {
-    kernel_.fuse_preprocess(mean, scale, columns);
-  }
   const ForestKernel& kernel() const { return kernel_; }
   std::string name() const override { return "RF"; }
   std::vector<std::uint8_t> serialize() const override;
@@ -62,7 +50,7 @@ class RandomForest final : public Classifier {
 
   RandomForestConfig config_;
   std::vector<DecisionTree> trees_;
-  ForestKernel kernel_;  // quantized mirror; rebuilt, never serialized
+  ForestKernel kernel_;  // derived from trees_; rebuilt, never serialized
 };
 
 }  // namespace drlhmd::ml

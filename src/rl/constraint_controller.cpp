@@ -135,12 +135,12 @@ void ConstraintController::predict_batch(ml::BatchView batch,
     throw std::invalid_argument(
         "ConstraintController::predict_batch: out size mismatch");
   if (batch.rows() == 0) return;
-  // Score through the quantized fast path (exact split decisions for the
-  // tree ensembles, so the >= 0.5 labels match the exact path; see
-  // DESIGN.md §12) with arena scratch: zero heap traffic in steady state.
+  // The batch scores are bitwise the row path's (DESIGN.md §10/§12), so
+  // these labels equal predict()'s.  Arena scratch: zero heap traffic in
+  // steady state.
   util::ArenaScope scope(util::scratch_arena());
   auto scores = scope.alloc<double>(batch.rows());
-  models_[selected_model()]->predict_proba_batch_fast(
+  models_[selected_model()]->predict_proba_batch(
       batch, {scores.data(), scores.size()});
   for (std::size_t r = 0; r < batch.rows(); ++r)
     out[r] = scores[r] >= 0.5 ? 1 : 0;

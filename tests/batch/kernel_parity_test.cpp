@@ -1,41 +1,33 @@
-// Quantized-kernel vs exact-path parity for the ensemble detectors.
+// Cut-index kernel vs row-path parity for the tree detectors.
 //
 // The tree kernels (ForestKernel, DESIGN.md §12) quantize thresholds onto
 // a per-feature cut grid that preserves every comparison, so the kernel
-// must reach the same leaf as the exact path for every input — including
-// NaN/inf — and may differ only by the float rounding of leaf payloads.
-// For a single DecisionTree that pins the kernel score exactly:
-//   kernel == double(float(exact))
-// (the DT's predict_proba_batch_fast stays on the bitwise-exact sweep —
-// one tree cannot amortize the encode stage — so its kernel is probed
-// directly here).  The Q15 MLP/NN mirror is error-bounded instead:
-// probabilities within 1e-3 and identical labels away from the boundary.
+// reaches the same leaf as the row walk for every input — including
+// NaN/inf — and, with double leaves summed in tree order, returns exactly
+// the row path's score.  predict_proba_batch_fast is an alias and must
+// agree too.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
-#include "ml/conv_net.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/gbdt.hpp"
-#include "ml/mlp.hpp"
-#include "ml/preprocess.hpp"
 #include "ml/random_forest.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace drlhmd {
 namespace {
 
-ml::Dataset blobs(std::size_t n_per_class, double gap, std::uint64_t seed,
-                  std::size_t width = 4) {
+ml::Dataset blobs(std::size_t n_per_class, double gap, std::uint64_t seed) {
   util::Rng rng(seed);
   ml::Dataset d;
   for (std::size_t i = 0; i < n_per_class; ++i) {
-    std::vector<double> benign(width), malware(width);
-    for (std::size_t c = 0; c < width; ++c) {
+    std::vector<double> benign(4), malware(4);
+    for (std::size_t c = 0; c < 4; ++c) {
       benign[c] = rng.normal(0.0, 1.0);
       malware[c] = rng.normal(gap, 1.0);
     }
@@ -48,16 +40,27 @@ ml::Dataset blobs(std::size_t n_per_class, double gap, std::uint64_t seed,
 
 const std::vector<std::size_t> kWidths = {1, 2, 8};
 
-/// Same leaf => probabilities agree to float-leaf rounding; labels agree
-/// whenever the exact score is not razor-close to the 0.5 threshold.
-void expect_kernel_parity(const std::vector<double>& exact,
-                          const std::vector<double>& fast, double tol,
-                          const char* what) {
-  ASSERT_EQ(exact.size(), fast.size()) << what;
+/// Row-path scores: the oracle every batch result must equal exactly.
+std::vector<double> row_scores(const ml::Classifier& model, ml::BatchView view) {
+  std::vector<double> scores(view.rows());
+  std::vector<double> row(view.cols());
+  for (std::size_t i = 0; i < view.rows(); ++i) {
+    view.gather_row(i, row);
+    scores[i] = model.predict_proba(row);
+  }
+  return scores;
+}
+
+/// Batch scores through both entry points, each equal to the row path.
+void expect_exact(const ml::Classifier& model, ml::BatchView view,
+                  const char* what) {
+  const std::vector<double> exact = row_scores(model, view);
+  std::vector<double> batch(view.rows()), fast(view.rows());
+  model.predict_proba_batch(view, batch);
+  model.predict_proba_batch_fast(view, fast);
   for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(exact[i], fast[i], tol) << what << ": row " << i;
-    if (std::abs(exact[i] - 0.5) > tol)
-      EXPECT_EQ(exact[i] >= 0.5, fast[i] >= 0.5) << what << ": row " << i;
+    EXPECT_EQ(batch[i], exact[i]) << what << ": row " << i;
+    EXPECT_EQ(fast[i], exact[i]) << what << " (fast alias): row " << i;
   }
 }
 
@@ -70,24 +73,13 @@ class KernelParity : public ::testing::Test {
 };
 
 TEST_F(KernelParity, DecisionTreeKernelIsFloatRoundedExact) {
+  // Named for the float-leaf kernel it once pinned; the kernel now keeps
+  // double leaves, so the DT kernel is simply exact.
   ml::DecisionTree tree;
   tree.fit(blobs(150, 1.5, 17));
   ASSERT_TRUE(tree.kernel().ready());
   const ml::Dataset test = blobs(101, 1.5, 91);  // odd count: partial block
-
-  std::vector<double> exact(test.size()), fast(test.size());
-  tree.predict_proba_batch(test.view(), exact);
-  std::fill(fast.begin(), fast.end(), 0.0);
-  tree.kernel().accumulate(test.view(), fast);
-  for (std::size_t i = 0; i < test.size(); ++i)
-    EXPECT_EQ(fast[i], static_cast<double>(static_cast<float>(exact[i])))
-        << "row " << i;  // same leaf, float-rounded payload — exactly
-
-  // Unfused, the DT fast path IS the exact sweep (a lone tree cannot
-  // amortize the encode stage), so it must match bitwise.
-  tree.predict_proba_batch_fast(test.view(), fast);
-  for (std::size_t i = 0; i < test.size(); ++i)
-    EXPECT_EQ(fast[i], exact[i]) << "row " << i;
+  expect_exact(tree, test.view(), "DT");
 }
 
 TEST_F(KernelParity, RandomForestFastMatchesExact) {
@@ -96,13 +88,9 @@ TEST_F(KernelParity, RandomForestFastMatchesExact) {
   ASSERT_TRUE(forest.kernel().ready());
   EXPECT_EQ(forest.kernel().tree_count(), forest.tree_count());
   const ml::Dataset test = blobs(101, 1.5, 91);
-
-  std::vector<double> exact(test.size()), fast(test.size());
-  forest.predict_proba_batch(test.view(), exact);
   for (const std::size_t width : kWidths) {
     util::set_parallel_threads(width);
-    forest.predict_proba_batch_fast(test.view(), fast);
-    expect_kernel_parity(exact, fast, 1e-5, "RF");
+    expect_exact(forest, test.view(), "RF");
   }
 }
 
@@ -111,13 +99,9 @@ TEST_F(KernelParity, GbdtFastMatchesExact) {
   gbdt.fit(blobs(150, 1.5, 17));
   ASSERT_TRUE(gbdt.kernel().ready());
   const ml::Dataset test = blobs(101, 1.5, 91);
-
-  std::vector<double> exact(test.size()), fast(test.size());
-  gbdt.predict_proba_batch(test.view(), exact);
   for (const std::size_t width : kWidths) {
     util::set_parallel_threads(width);
-    gbdt.predict_proba_batch_fast(test.view(), fast);
-    expect_kernel_parity(exact, fast, 1e-4, "LightGBM");
+    expect_exact(gbdt, test.view(), "LightGBM");
   }
 }
 
@@ -129,20 +113,17 @@ TEST_F(KernelParity, OffsetSlicesMatchExactPath) {
   const struct {
     std::size_t begin, count;
   } slices[] = {{0, 37}, {1, 64}, {33, 127}, {159, 1}, {7, 0}};
-  for (const auto& s : slices) {
-    std::vector<double> exact(s.count), fast(s.count);
-    const ml::BatchView view = test.view().rows_slice(s.begin, s.count);
-    forest.predict_proba_batch(view, exact);
-    forest.predict_proba_batch_fast(view, fast);
-    expect_kernel_parity(exact, fast, 1e-5, "RF slice");
-  }
+  for (const auto& s : slices)
+    expect_exact(forest, test.view().rows_slice(s.begin, s.count), "RF slice");
 }
 
 TEST_F(KernelParity, NanAndInfReachTheSameLeaf) {
   ml::DecisionTree tree;
+  ml::RandomForest forest;
   ml::Gbdt gbdt;
   const ml::Dataset train = blobs(150, 1.5, 41);
   tree.fit(train);
+  forest.fit(train);
   gbdt.fit(train);
 
   // Every row carries a NaN or +/-inf in some column; the cut-index code
@@ -155,103 +136,48 @@ TEST_F(KernelParity, NanAndInfReachTheSameLeaf) {
     const double special = i % 3 == 0 ? nan : (i % 3 == 1 ? inf : -inf);
     probe.X.mutable_view().col(i % 4)[i] = special;
   }
-
-  std::vector<double> exact(probe.size()), fast(probe.size());
-  tree.predict_proba_batch(probe.view(), exact);
-  std::fill(fast.begin(), fast.end(), 0.0);
-  tree.kernel().accumulate(probe.view(), fast);
-  for (std::size_t i = 0; i < probe.size(); ++i)
-    EXPECT_EQ(fast[i], static_cast<double>(static_cast<float>(exact[i])))
-        << "DT row " << i;
-
-  gbdt.predict_proba_batch(probe.view(), exact);
-  gbdt.predict_proba_batch_fast(probe.view(), fast);
-  expect_kernel_parity(exact, fast, 1e-4, "LightGBM NaN/inf");
+  expect_exact(tree, probe.view(), "DT NaN/inf");
+  expect_exact(forest, probe.view(), "RF NaN/inf");
+  expect_exact(gbdt, probe.view(), "LightGBM NaN/inf");
 }
 
-TEST_F(KernelParity, FusedKernelScoresRawColumns) {
-  // Train in scaled space (the pipeline's model space), then fuse the
-  // scaler + a non-trivial feature selection into the kernel: the fast
-  // path consumes the raw 6-wide batch and must reach the same leaves the
-  // exact path reaches on the scaled, selected view.
-  const std::size_t kRawWidth = 6;
-  const std::vector<std::uint32_t> selected = {0, 2, 3, 5};
-  ml::Dataset raw = blobs(150, 1.5, 47, kRawWidth);
+TEST_F(KernelParity, SplitVoteForestScoresExactlyOneHalf) {
+  // Two single-leaf trees voting 0.1 and 0.9: in double the mean is exactly
+  // 0.5 (a malware verdict), while float leaves would give 0.4999999888
+  // (benign).  Serving and direct scoring must reach the same verdict.
+  const auto leaf_tree = [](double proba) {
+    util::ByteWriter w;
+    w.write_string("DT");
+    w.write_u8(1);
+    w.write_u64(1);
+    w.write_u32(0xFFFFFFFFu);  // leaf
+    w.write_f64(0.0);
+    w.write_u32(0);
+    w.write_u32(0);
+    w.write_f64(proba);
+    return w.take();
+  };
+  util::ByteWriter w;
+  w.write_string("RF");
+  w.write_u8(1);
+  w.write_u64(2);
+  w.write_bytes(leaf_tree(0.1));
+  w.write_bytes(leaf_tree(0.9));
+  const std::vector<std::uint8_t> bytes = w.take();
+  const ml::RandomForest forest = ml::RandomForest::deserialize(bytes);
+  ASSERT_TRUE(forest.kernel().ready());
 
-  ml::Dataset model_space;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const std::vector<double> row = raw.row_copy(i);
-    std::vector<double> picked;
-    for (const std::uint32_t c : selected) picked.push_back(row[c]);
-    model_space.push(picked, raw.y[i]);
-  }
-  ml::StandardScaler scaler;
-  scaler.fit(model_space);
-  model_space = scaler.transform(model_space);
+  const ml::Dataset probe = blobs(3, 1.5, 67);
+  const std::vector<double> row = probe.row_copy(0);
+  EXPECT_EQ(forest.predict_proba(row), 0.5);
+  EXPECT_EQ(forest.predict(row), 1);
 
-  ml::DecisionTree tree;
-  ml::RandomForest forest;
-  ml::Gbdt gbdt;
-  tree.fit(model_space);
-  forest.fit(model_space);
-  gbdt.fit(model_space);
-  tree.fuse_preprocess(scaler.mean(), scaler.scale(), selected);
-  forest.fuse_preprocess(scaler.mean(), scaler.scale(), selected);
-  gbdt.fuse_preprocess(scaler.mean(), scaler.scale(), selected);
-  EXPECT_TRUE(tree.kernel().fused());
-
-  ml::Dataset raw_probe = blobs(77, 1.5, 53, kRawWidth);
-  ml::Dataset probe_model_space;
-  for (std::size_t i = 0; i < raw_probe.size(); ++i) {
-    const std::vector<double> row = raw_probe.row_copy(i);
-    std::vector<double> picked;
-    for (const std::uint32_t c : selected) picked.push_back(row[c]);
-    probe_model_space.push(scaler.transform(picked), raw_probe.y[i]);
-  }
-
-  std::vector<double> exact(raw_probe.size()), fast(raw_probe.size());
-  tree.predict_proba_batch(probe_model_space.view(), exact);
-  tree.predict_proba_batch_fast(raw_probe.view(), fast);
-  for (std::size_t i = 0; i < raw_probe.size(); ++i)
-    EXPECT_EQ(fast[i], static_cast<double>(static_cast<float>(exact[i])))
-        << "fused DT row " << i;
-
-  forest.predict_proba_batch(probe_model_space.view(), exact);
-  forest.predict_proba_batch_fast(raw_probe.view(), fast);
-  expect_kernel_parity(exact, fast, 1e-5, "fused RF");
-
-  gbdt.predict_proba_batch(probe_model_space.view(), exact);
-  gbdt.predict_proba_batch_fast(raw_probe.view(), fast);
-  expect_kernel_parity(exact, fast, 1e-4, "fused LightGBM");
-}
-
-TEST_F(KernelParity, QuantizedMlpWithinErrorBound) {
-  ml::MlpClassifier mlp;
-  mlp.fit(blobs(150, 2.5, 17));
-  ASSERT_TRUE(mlp.quantized_ready());
-  const ml::Dataset test = blobs(101, 2.5, 91);
-
-  std::vector<double> exact(test.size()), quant(test.size());
-  mlp.predict_proba_batch(test.view(), exact);
-  for (const std::size_t width : kWidths) {
-    util::set_parallel_threads(width);
-    mlp.predict_proba_batch_quantized(test.view(), quant);
-    expect_kernel_parity(exact, quant, 1e-3, "MLP Q15");
-  }
-}
-
-TEST_F(KernelParity, QuantizedConvNetWithinErrorBound) {
-  ml::ConvNetClassifier nn;
-  nn.fit(blobs(150, 2.5, 19));
-  ASSERT_TRUE(nn.quantized_ready());
-  const ml::Dataset test = blobs(101, 2.5, 93);
-
-  std::vector<double> exact(test.size()), quant(test.size());
-  nn.predict_proba_batch(test.view(), exact);
-  for (const std::size_t width : kWidths) {
-    util::set_parallel_threads(width);
-    nn.predict_proba_batch_quantized(test.view(), quant);
-    expect_kernel_parity(exact, quant, 1e-3, "NN Q15");
+  std::vector<double> batch(probe.size()), fast(probe.size());
+  forest.predict_proba_batch(probe.view(), batch);
+  forest.predict_proba_batch_fast(probe.view(), fast);
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    EXPECT_EQ(batch[i], 0.5) << "row " << i;
+    EXPECT_EQ(fast[i], 0.5) << "row " << i;
   }
 }
 
@@ -264,8 +190,8 @@ TEST_F(KernelParity, KernelSurvivesSerializationRoundtrip) {
 
   const ml::Dataset test = blobs(50, 1.5, 61);
   std::vector<double> original(test.size()), restored(test.size());
-  forest.predict_proba_batch_fast(test.view(), original);
-  copy.predict_proba_batch_fast(test.view(), restored);
+  forest.predict_proba_batch(test.view(), original);
+  copy.predict_proba_batch(test.view(), restored);
   EXPECT_EQ(original, restored);
 }
 

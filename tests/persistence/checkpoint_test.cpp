@@ -6,9 +6,11 @@
 #include "core/framework.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/runtime.hpp"
 #include "util/artifact_store.hpp"
@@ -51,12 +53,16 @@ class CheckpointSuite : public ::testing::Test {
   static void SetUpTestSuite() {
     framework_ = new Framework(small_config());
     framework_->run_all();
-    checkpoint_dir_ = new std::string(fresh_dir("ckpt-full"));
+    // ctest runs each test of the suite in its own process, possibly in
+    // parallel, so every process saves into its own directory.
+    checkpoint_dir_ = new std::string(
+        fresh_dir("ckpt-full-" + std::to_string(::getpid())));
     framework_->save_checkpoint(*checkpoint_dir_);
   }
   static void TearDownTestSuite() {
     delete framework_;
     framework_ = nullptr;
+    std::filesystem::remove_all(*checkpoint_dir_);
     delete checkpoint_dir_;
     checkpoint_dir_ = nullptr;
   }

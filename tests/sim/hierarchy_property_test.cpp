@@ -16,6 +16,11 @@ struct Geometry {
   HierarchyConfig::Prefetch prefetch;
 };
 
+// Print the geometry by name: gtest's default byte dump would put the
+// address of `name` into the reported test names, so they would change with
+// every build.
+void PrintTo(const Geometry& g, std::ostream* os) { *os << g.name; }
+
 class GeometrySweep : public ::testing::TestWithParam<Geometry> {
  protected:
   HierarchyConfig config() const {
