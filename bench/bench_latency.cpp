@@ -3,6 +3,7 @@
 // plus the A2C predictor and SHA-256 hashing of model bytes.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <map>
 #include <memory>
 
@@ -99,6 +100,29 @@ static void bench_sha256_model(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(bench_sha256_model);
+
+// The two SHA-256 block functions on the RF model's whole 64-byte blocks, so
+// one run shows the MB/s of both paths; the hardware run is skipped, with a
+// message, on a CPU without the SHA extensions.
+static void bench_sha256_blocks(benchmark::State& state, bool hardware) {
+  const auto bytes = model_for(ml::ModelKind::kRf).serialize();
+  const std::size_t blocks = bytes.size() / 64;
+  std::array<std::uint32_t, 8> words{};
+  if (hardware && !integrity::detail::compress_hardware(words, bytes.data(), 0))
+    state.SkipWithError("CPUID lacks the SHA extensions (sha, ssse3, sse4.1)");
+  for (auto _ : state) {
+    if (hardware)
+      integrity::detail::compress_hardware(words, bytes.data(), blocks);
+    else
+      integrity::detail::compress_portable(words, bytes.data(), blocks);
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(blocks * 64));
+}
+BENCHMARK_CAPTURE(bench_sha256_blocks, portable, false);
+BENCHMARK_CAPTURE(bench_sha256_blocks, hardware, true);
 
 static void bench_cache_access(benchmark::State& state) {
   sim::Cache cache(sim::CacheConfig{.name = "bench-llc",

@@ -4,6 +4,10 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace drlhmd::integrity {
 namespace {
 
@@ -22,57 +26,149 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
 
 std::uint32_t rotr(std::uint32_t x, int n) { return std::rotr(x, n); }
 
+#if defined(__x86_64__)
+// Only called after CPUID reported the extensions; the target attribute
+// keeps every other function of the library on baseline x86-64.  Loads are
+// unaligned because neither the input nor kRoundConstants is 16-byte
+// aligned.
+__attribute__((target("sha,ssse3,sse4.1"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // The round instructions keep the state as ABEF and CDGH lane groups.
+  const __m128i dcba =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)),
+                        0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xF0);
+
+  for (; n > 0; --n, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[i % 4] holds schedule words 4i..4i+3.  Fully unrolled, so every
+    // index is a constant and the schedule stays in registers.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4) {
+        w[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+            byte_swap);
+      } else {
+        const __m128i prev = w[(i + 3) & 3];
+        w[i & 3] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]),
+                          _mm_alignr_epi8(prev, w[(i + 2) & 3], 4)),
+            prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[i & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        kRoundConstants.data() + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_extensions() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("ssse3") &&
+         __builtin_cpu_supports("sse4.1");
+}
+#endif
+
+/// The one block function every compression of Sha256 goes through.
+void compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* blocks,
+              std::size_t n) {
+  if (!detail::compress_hardware(state, blocks, n))
+    detail::compress_portable(state, blocks, n);
+}
+
 }  // namespace
+
+namespace detail {
+
+void compress_portable(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* blocks, std::size_t n) {
+  for (; n > 0; --n, blocks += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[i * 4]) << 24) |
+             (static_cast<std::uint32_t>(blocks[i * 4 + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[i * 4 + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    auto [a, b, c, d, e, f, g, h] = state;
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+bool compress_hardware(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* blocks, std::size_t n) {
+#if defined(__x86_64__)
+  static const bool supported = cpu_has_sha_extensions();
+  if (!supported) return false;
+  compress_sha_ni(state.data(), blocks, n);
+  return true;
+#else
+  (void)state;
+  (void)blocks;
+  (void)n;
+  return false;
+#endif
+}
+
+}  // namespace detail
 
 Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(std::span<const std::uint8_t> data) {
   if (finished_) throw std::logic_error("Sha256: update after finish");
+  if (data.empty()) return;
   total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
@@ -81,14 +177,13 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      compress(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
-  }
+  const std::size_t whole = (data.size() - offset) / 64;
+  compress(state_, data.data() + offset, whole);
+  offset += whole * 64;
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
     buffer_len_ = data.size() - offset;
@@ -104,18 +199,16 @@ Sha256Digest Sha256::finish() {
   if (finished_) throw std::logic_error("Sha256: finish called twice");
   finished_ = true;
 
-  const std::uint64_t bits = total_bits_;
-  // Append 0x80 then zero padding to 56 mod 64, then the 64-bit length.
-  std::uint8_t pad = 0x80;
-  finished_ = false;  // allow the padding updates below
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-  update(len_bytes);
-  finished_ = true;
+  // The buffered tail, 0x80, zeros up to 56 mod 64, then the 64-bit
+  // big-endian bit length: one block when the tail leaves room for the
+  // length, two otherwise.
+  std::array<std::uint8_t, 128> pad{};
+  std::memcpy(pad.data(), buffer_.data(), buffer_len_);
+  pad[buffer_len_] = 0x80;
+  const std::size_t blocks = buffer_len_ < 56 ? 1 : 2;
+  for (std::size_t i = 0; i < 8; ++i)
+    pad[blocks * 64 - 1 - i] = static_cast<std::uint8_t>(total_bits_ >> (8 * i));
+  compress(state_, pad.data(), blocks);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {

@@ -154,9 +154,14 @@ class ThreadPool {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = false;
       n_threads_ = n_threads;
+      warmed_ = 0;
     }
     for (std::size_t i = 0; i + 1 < n_threads; ++i)
       workers_.emplace_back([this] { worker_loop(); });
+    // Return only after every worker's pre-warm, so its allocations land
+    // here and never inside a region the caller measures later.
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] { return warmed_ == workers_.size(); });
   }
 
   void join_workers() {
@@ -181,6 +186,11 @@ class ThreadPool {
       ArenaScope warm(scratch_arena());
       (void)warm.alloc<std::byte>(1);
     }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++warmed_;
+    }
+    done_cv_.notify_all();
     for (;;) {
       Region* region = nullptr;
       {
@@ -230,6 +240,7 @@ class ThreadPool {
   Region* region_ = nullptr;    // published slot, guarded by mu_
   std::atomic<std::size_t> active_{0};  // workers inside execute()
   std::size_t n_threads_ = 1;
+  std::size_t warmed_ = 0;  // workers past their arena pre-warm, guarded by mu_
   bool stop_ = false;
 
   std::atomic<std::uint64_t> regions_{0};

@@ -135,6 +135,23 @@ TEST_F(RuntimeFixture, IntegrityValidationPasses) {
   EXPECT_EQ(runtime.stats().integrity_alarms, 0u);
 }
 
+TEST(RuntimeIntegrityTest, RefitModelRaisesOneAlarm) {
+  // Its own small pipeline: the refit below would poison the shared fixture.
+  FrameworkConfig cfg;
+  cfg.corpus.benign_apps = 30;
+  cfg.corpus.malware_apps = 30;
+  cfg.corpus.windows_per_app = 3;
+  Framework framework(cfg);
+  framework.run_all();
+  DetectionRuntime runtime(framework);
+
+  // Refit on other rows: the model's bytes no longer hash to its vault record.
+  framework.defended_models().front()->fit(framework.test_set());
+  EXPECT_FALSE(runtime.validate_integrity());
+  EXPECT_EQ(runtime.stats().integrity_alarms, 1u);
+  EXPECT_EQ(runtime.stats().integrity_checks, 1u);
+}
+
 TEST_F(RuntimeFixture, PeriodicIntegrityChecksFire) {
   RuntimeConfig cfg;
   cfg.integrity_check_period = 10;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -86,6 +88,80 @@ TEST(Sha256Test, HexIs64LowercaseChars) {
   EXPECT_EQ(hex.size(), 64u);
   for (char c : hex)
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'));
+}
+
+// Differential tests: the hardware block function and the Sha256 buffering
+// and padding against the portable rounds.
+
+std::vector<std::uint8_t> random_bytes(std::mt19937_64& rng, std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+/// Digest from the portable rounds alone, with padding built independently
+/// of Sha256::finish().
+Sha256Digest portable_digest(const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> padded = message;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8)
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  detail::compress_portable(state, padded.data(), padded.size() / 64);
+  Sha256Digest digest;
+  for (std::size_t i = 0; i < 32; ++i)
+    digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  return digest;
+}
+
+/// Asserts sha256() equals the portable oracle in one shot and when the
+/// message is split at 1, 63, 64 and 65 bytes.
+void expect_matches_oracle(const std::vector<std::uint8_t>& message) {
+  const std::string expected = to_hex(portable_digest(message));
+  ASSERT_EQ(to_hex(sha256(message)), expected) << message.size() << " bytes";
+  const std::span<const std::uint8_t> all(message);
+  for (std::size_t split : {1u, 63u, 64u, 65u}) {
+    const std::size_t at = std::min(split, message.size());
+    Sha256 hasher;
+    hasher.update(all.first(at));
+    hasher.update(all.subspan(at));
+    ASSERT_EQ(to_hex(hasher.finish()), expected)
+        << message.size() << " bytes split at " << at;
+  }
+}
+
+TEST(Sha256PathsTest, HardwareBlocksMatchPortable) {
+  std::array<std::uint32_t, 8> probe{};
+  if (!detail::compress_hardware(probe, nullptr, 0))
+    GTEST_SKIP() << "CPUID lacks the SHA extensions (sha, ssse3, sse4.1)";
+  std::mt19937_64 rng(20240615);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::array<std::uint32_t, 8> portable;
+    for (auto& word : portable) word = static_cast<std::uint32_t>(rng());
+    std::array<std::uint32_t, 8> hardware = portable;
+    const std::size_t n = 1 + rng() % 40;
+    const std::vector<std::uint8_t> blocks = random_bytes(rng, 64 * n);
+    detail::compress_portable(portable, blocks.data(), n);
+    ASSERT_TRUE(detail::compress_hardware(hardware, blocks.data(), n));
+    ASSERT_EQ(hardware, portable) << "trial " << trial << ", " << n << " blocks";
+  }
+}
+
+TEST(Sha256PathsTest, DigestsMatchPortableAtEveryLengthTo1100) {
+  std::mt19937_64 rng(7);
+  for (std::size_t n = 0; n <= 1100; ++n)
+    ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(random_bytes(rng, n)));
+}
+
+TEST(Sha256PathsTest, DigestsMatchPortableAtModelSizes) {
+  // Serialized RF and LightGBM sizes of the benchmark's defended models.
+  std::mt19937_64 rng(11);
+  for (std::size_t n : {126295u, 149229u})
+    ASSERT_NO_FATAL_FAILURE(expect_matches_oracle(random_bytes(rng, n)));
 }
 
 }  // namespace
