@@ -7,6 +7,8 @@
 // trace) is emitted on stderr alongside the usual tables.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -24,36 +26,54 @@
 
 namespace drlhmd::bench {
 
+/// Parse the whole of `text` as a number, or exit 2 naming the flag: empty
+/// input, trailing text, out-of-range and non-finite values are usage
+/// errors, never a silent 0.
+template <typename T>
+T parse_number_or_exit(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || text.empty() ||
+      !std::isfinite(static_cast<double>(value))) {
+    std::fprintf(stderr, "bad value for %s: '%s'\n", flag.c_str(),
+                 text.c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Apply the shared bench CLI: `--threads N` (or `--threads=N`) pins the
 /// parallel pool width for the run, overriding ambient DRLHMD_THREADS so CI
-/// can fix the thread count explicitly.  Unknown arguments are ignored (each
-/// bench may layer its own flags on top).
+/// can fix the thread count explicitly.  A malformed or non-positive count
+/// exits 2.  Other arguments are left alone (each bench may layer its own
+/// flags on top).
 inline void apply_bench_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    long n = -1;
-    if (arg == "--threads" && i + 1 < argc) {
-      n = std::atol(argv[++i]);
+    std::string value;
+    if (arg == "--threads") {
+      value = i + 1 < argc ? argv[++i] : "";
     } else if (arg.rfind("--threads=", 0) == 0) {
-      n = std::atol(arg.c_str() + 10);
+      value = arg.substr(10);
     } else {
       continue;
     }
+    const auto n = parse_number_or_exit<std::size_t>("--threads", value);
     if (n < 1) {
-      std::fprintf(stderr, "[bench] ignoring bad --threads value: %s\n",
-                   arg.c_str());
-      continue;
+      std::fprintf(stderr, "--threads must be positive\n");
+      std::exit(2);
     }
-    util::set_parallel_threads(static_cast<std::size_t>(n));
-    std::fprintf(stderr, "[bench] --threads %ld (pool width %zu)\n", n,
+    util::set_parallel_threads(n);
+    std::fprintf(stderr, "[bench] --threads %zu (pool width %zu)\n", n,
                  util::parallel_thread_count());
   }
 }
 
-/// Discard warmup-iteration latencies from the telemetry recorders
-/// (histograms + exact tails) so a DRLHMD_TELEMETRY=1 run's reported
-/// quantiles cover only the measured region.  Counters and gauges keep
-/// their values, and every cached metric handle stays valid.
+/// Discard warmup-iteration latencies from the telemetry tail recorders so
+/// a DRLHMD_TELEMETRY=1 run's reported quantiles cover only the measured
+/// region.  Counters and gauges keep their values, and every cached metric
+/// handle stays valid.
 inline void reset_telemetry_recorders() {
   if (obs::Telemetry::enabled()) obs::Telemetry::metrics().reset_recorders();
 }

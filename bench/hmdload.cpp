@@ -16,8 +16,8 @@
 //   --max-wait-us U     adaptive batcher age cap
 //   --smoke             one low-load point at reduced scale (CI smoke: the
 //                       run must sustain the load with zero drops)
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,26 +46,29 @@ Options parse_options(int argc, char** argv) {
     const auto value = [&](const char* flag) -> const char* {
       const std::string prefix = std::string(flag) + "=";
       if (arg.rfind(prefix, 0) == 0) return arg.c_str() + prefix.size();
-      if (arg == flag && i + 1 < argc) return argv[++i];
+      if (arg == flag) return i + 1 < argc ? argv[++i] : "";
       return nullptr;
     };
+    using bench::parse_number_or_exit;
     const char* v = nullptr;
     if ((v = value("--loads")) != nullptr) {
       opt.loads.clear();
-      for (const char* p = v; *p != '\0';) {
-        opt.loads.push_back(std::atof(p));
-        const char* comma = std::strchr(p, ',');
-        if (comma == nullptr) break;
-        p = comma + 1;
+      const std::string list = v;
+      for (std::size_t at = 0;;) {
+        const std::size_t comma = std::min(list.find(',', at), list.size());
+        opt.loads.push_back(
+            parse_number_or_exit<double>("--loads", list.substr(at, comma - at)));
+        if (comma == list.size()) break;
+        at = comma + 1;
       }
     } else if ((v = value("--duration")) != nullptr) {
-      opt.duration_s = std::atof(v);
+      opt.duration_s = parse_number_or_exit<double>("--duration", v);
     } else if ((v = value("--hosts")) != nullptr) {
-      opt.hosts = static_cast<std::size_t>(std::atol(v));
+      opt.hosts = parse_number_or_exit<std::size_t>("--hosts", v);
     } else if ((v = value("--max-batch")) != nullptr) {
-      opt.max_batch = static_cast<std::size_t>(std::atol(v));
+      opt.max_batch = parse_number_or_exit<std::size_t>("--max-batch", v);
     } else if ((v = value("--max-wait-us")) != nullptr) {
-      opt.max_wait_us = std::atof(v);
+      opt.max_wait_us = parse_number_or_exit<double>("--max-wait-us", v);
     } else if (arg == "--smoke") {
       opt.smoke = true;
     }

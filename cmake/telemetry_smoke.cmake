@@ -39,10 +39,11 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
       message(FATAL_ERROR "telemetry trace missing phase span '${phase}'")
     endif()
   endforeach()
-  # Per-stage latency histograms with streaming quantiles.
+  # Per-stage and per-batch exact latency tails.
   string(JSON metrics GET "${out}" metrics)
   foreach(needle IN ITEMS
-      drlhmd.runtime.stage_latency_us "\"p50\"" "\"p95\"" "\"p99\""
+      drlhmd.runtime.stage_tail_us drlhmd.runtime.batch_tail_us
+      "\"p50\"" "\"p99\"" "\"p999\""
       drlhmd.runtime.verdicts drlhmd.pipeline.phase_seconds
       drlhmd.serve.queue_depth drlhmd.serve.dropped_total
       drlhmd.serve.enqueued drlhmd.serve.e2e_us)
@@ -51,6 +52,11 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
       message(FATAL_ERROR "telemetry metrics missing '${needle}'")
     endif()
   endforeach()
+  # Tails are the one latency recorder: no legacy histogram section.
+  string(JSON legacy ERROR_VARIABLE legacy_err GET "${metrics}" histograms)
+  if(legacy_err STREQUAL "NOTFOUND")
+    message(FATAL_ERROR "telemetry metrics still carry a 'histograms' key")
+  endif()
 else()
   # Pre-3.19 CMake cannot parse JSON; settle for a shape check.
   string(FIND "${out}" "\"metrics\"" found)

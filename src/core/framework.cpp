@@ -451,13 +451,13 @@ ml::MetricReport Framework::evaluate_predictor() const {
 
 std::vector<double> Framework::predictor_reward_trace() const {
   require(predictor_ != nullptr, "train_predictor must run first");
-  std::vector<std::vector<double>> stream;
-  stream.reserve(adversarial_test_.size() + test_.size());
-  for (std::size_t i = 0; i < adversarial_test_.size(); ++i)
-    stream.push_back(adversarial_test_.row_copy(i));
-  for (std::size_t i = 0; i < test_.size(); ++i)
-    stream.push_back(test_.row_copy(i));
-  return predictor_->reward_trace(stream);
+  std::vector<double> trace(adversarial_test_.size() + test_.size());
+  const std::span<double> all(trace);
+  predictor_->feedback_reward_batch(adversarial_test_.view(),
+                                    all.subspan(0, adversarial_test_.size()));
+  predictor_->feedback_reward_batch(test_.view(),
+                                    all.subspan(adversarial_test_.size()));
+  return trace;
 }
 
 adversarial::AttackCampaignReport Framework::attack_report() const {

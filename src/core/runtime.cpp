@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "ml/feature_matrix.hpp"
 #include "obs/log.hpp"
 #include "obs/telemetry.hpp"
 #include "util/arena.hpp"
@@ -39,14 +38,6 @@ DetectionRuntime::DetectionRuntime(Framework& framework, RuntimeConfig config)
   integrity_alarms_ = &reg.counter("drlhmd.runtime.integrity.alarms");
   quarantine_gauge_ = &reg.gauge("drlhmd.runtime.quarantine_size");
   retrain_gauge_ = &reg.gauge("drlhmd.runtime.retrain_count");
-  latency_predictor_ =
-      &reg.histogram("drlhmd.runtime.stage_latency_us", {}, {{"stage", "predictor"}});
-  latency_detector_ =
-      &reg.histogram("drlhmd.runtime.stage_latency_us", {}, {{"stage", "detector"}});
-  latency_integrity_ =
-      &reg.histogram("drlhmd.runtime.stage_latency_us", {}, {{"stage", "integrity"}});
-  latency_total_ =
-      &reg.histogram("drlhmd.runtime.stage_latency_us", {}, {{"stage", "total"}});
   const obs::TailConfig& tail_cfg = obs::default_latency_tail_config();
   tail_predictor_ = &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg,
                               {{"stage", "predictor"}});
@@ -54,8 +45,6 @@ DetectionRuntime::DetectionRuntime(Framework& framework, RuntimeConfig config)
                              {{"stage", "detector"}});
   tail_integrity_ = &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg,
                               {{"stage", "integrity"}});
-  tail_total_ =
-      &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg, {{"stage", "total"}});
   tail_batch_ = &reg.tail("drlhmd.runtime.batch_tail_us", tail_cfg);
 }
 
@@ -71,49 +60,9 @@ RuntimeStats DetectionRuntime::stats() const {
   return stats;
 }
 
-TrafficVerdict DetectionRuntime::process(std::span<const double> features) {
-  const bool timed = obs::Telemetry::enabled();
-  const obs::ScopedLatency total(timed ? latency_total_ : nullptr,
-                                 timed ? tail_total_ : nullptr);
-  processed_->inc();
-
-  // Line of defense 1: the DRL predictor's feedback reward.
-  bool flagged;
-  {
-    const obs::ScopedLatency t(timed ? latency_predictor_ : nullptr,
-                               timed ? tail_predictor_ : nullptr);
-    flagged = framework_.predictor().is_adversarial(features);
-  }
-  if (flagged) {
-    adversarial_->inc();
-    // Adversarial vectors are malware masquerading as benign: label and
-    // quarantine them for the next adversarial-training round.
-    quarantine_.push(features, 1);
-    quarantine_gauge_->set(static_cast<double>(quarantine_.size()));
-    maybe_retrain();
-    maybe_validate_integrity();
-    return TrafficVerdict::kAdversarialMalware;
-  }
-
-  // Line of defense 2: the constraint-aware controller's scheduled model.
-  int prediction;
-  {
-    const obs::ScopedLatency t(timed ? latency_detector_ : nullptr,
-                               timed ? tail_detector_ : nullptr);
-    prediction = framework_.controller(config_.policy).predict(features);
-  }
-  if (prediction == 1) {
-    malware_->inc();
-  } else {
-    benign_->inc();
-  }
-  maybe_validate_integrity();
-  return prediction == 1 ? TrafficVerdict::kMalware : TrafficVerdict::kBenign;
-}
-
-void DetectionRuntime::maybe_retrain() {
-  if (config_.retrain_threshold == 0) return;
-  if (quarantine_.size() < config_.retrain_threshold) return;
+bool DetectionRuntime::maybe_retrain() {
+  if (config_.retrain_threshold == 0) return false;
+  if (quarantine_.size() < config_.retrain_threshold) return false;
   DRLHMD_LOG(Info) << "adaptive retrain: folding " << quarantine_.size()
                    << " quarantined adversarial samples into the merged DB";
   framework_.incremental_defense_update(quarantine_);
@@ -121,6 +70,7 @@ void DetectionRuntime::maybe_retrain() {
   quarantine_gauge_->set(0.0);
   retrains_->inc();
   retrain_gauge_->set(static_cast<double>(retrains_->value()));
+  return true;
 }
 
 void DetectionRuntime::maybe_validate_integrity() {
@@ -130,9 +80,8 @@ void DetectionRuntime::maybe_validate_integrity() {
 }
 
 bool DetectionRuntime::validate_integrity() {
-  const bool timed = obs::Telemetry::enabled();
-  const obs::ScopedLatency t(timed ? latency_integrity_ : nullptr,
-                             timed ? tail_integrity_ : nullptr);
+  const obs::ScopedLatency t(obs::Telemetry::enabled() ? tail_integrity_
+                                                      : nullptr);
   integrity_checks_->inc();
   bool all_intact = true;
   for (const auto& model : framework_.defended_models()) {
@@ -148,26 +97,26 @@ bool DetectionRuntime::validate_integrity() {
   return all_intact;
 }
 
-std::vector<TrafficVerdict> DetectionRuntime::process_batch(ml::BatchView batch) {
-  std::vector<TrafficVerdict> verdicts(batch.rows());
-  process_batch(batch, verdicts);
-  return verdicts;
-}
-
-void DetectionRuntime::process_batch(ml::BatchView batch,
-                                     std::span<TrafficVerdict> out) {
+BatchOutcome DetectionRuntime::process_batch(ml::BatchView batch,
+                                             std::span<TrafficVerdict> out) {
   if (out.size() != batch.rows())
     throw std::invalid_argument(
         "DetectionRuntime::process_batch: out size mismatch");
-  // Whole-batch wall time into the exact tail histogram (the per-stage
-  // histograms cannot be recorded inside the parallel scoring region).
-  const obs::ScopedLatency batch_timer(
-      nullptr, obs::Telemetry::enabled() ? tail_batch_ : nullptr);
+  // Telemetry is read once per batch.  When it is off, no stage reads a
+  // clock or touches a recorder; when it is on, the same code runs and the
+  // per-thread, wait-free tail shards record from inside the region.
+  const bool timed = obs::Telemetry::enabled();
+  obs::ShardedTailHistogram* const predictor_tail =
+      timed ? tail_predictor_ : nullptr;
+  obs::ShardedTailHistogram* const detector_tail =
+      timed ? tail_detector_ : nullptr;
+  const obs::ScopedLatency batch_timer(timed ? tail_batch_ : nullptr);
   // All scoring scratch is arena-backed: a warmed-up runtime allocates
   // nothing on this path (the quarantine push below only allocates while
   // its ring grows toward the retrain threshold).
   util::ArenaScope scope(util::scratch_arena());
   auto row = scope.alloc<double>(batch.cols());
+  BatchOutcome outcome;
   std::size_t start = 0;
   while (start < batch.rows()) {
     // Speculatively score every remaining row against the currently
@@ -187,90 +136,72 @@ void DetectionRuntime::process_batch(ml::BatchView batch,
     util::parallel_pipeline(
         "runtime.batch_score", std::size_t{0}, pending, 0,
         [&](std::size_t, std::size_t begin, std::size_t end) {
+          const obs::ScopedLatency t(predictor_tail);
           predictor.is_adversarial_batch(
               remaining.rows_slice(begin, end - begin),
               std::span<std::uint8_t>(flagged.data() + begin, end - begin));
         },
         [&](std::size_t, std::size_t begin, std::size_t end) {
+          const obs::ScopedLatency t(detector_tail);
           controller.predict_batch(
               remaining.rows_slice(begin, end - begin),
               std::span<int>(predictions.data() + begin, end - begin));
         });
 
-    // Serial commit in row order: exactly process()'s side effects.  When
-    // a retrain swaps the deployed models, the speculative scores for the
-    // rows after it are stale — break out and re-score the remainder.
-    const std::uint64_t retrains_before = retrains_->value();
+    // Serial commit in row order.  When a retrain swaps the deployed
+    // models, the speculative scores for the rows after it are stale —
+    // break out and re-score the remainder.
     std::size_t i = start;
     for (; i < batch.rows(); ++i) {
       processed_->inc();
+      bool retrained = false;
       if (flagged[i - start] != 0) {
         adversarial_->inc();
+        ++outcome.adversarial;
+        out[i] = TrafficVerdict::kAdversarialMalware;
+        // Adversarial vectors are malware masquerading as benign: label and
+        // quarantine them for the next adversarial-training round.
         batch.gather_row(i, {row.data(), row.size()});
         quarantine_.push({row.data(), row.size()}, 1);
         quarantine_gauge_->set(static_cast<double>(quarantine_.size()));
-        maybe_retrain();
-        maybe_validate_integrity();
-        out[i] = TrafficVerdict::kAdversarialMalware;
-        if (retrains_->value() != retrains_before) {
-          ++i;
-          break;
-        }
+        retrained = maybe_retrain();
+      } else if (predictions[i - start] == 1) {
+        malware_->inc();
+        ++outcome.malware;
+        out[i] = TrafficVerdict::kMalware;
       } else {
-        const int prediction = predictions[i - start];
-        if (prediction == 1) {
-          malware_->inc();
-        } else {
-          benign_->inc();
-        }
-        maybe_validate_integrity();
-        out[i] = prediction == 1 ? TrafficVerdict::kMalware
-                                 : TrafficVerdict::kBenign;
+        benign_->inc();
+        ++outcome.benign;
+        out[i] = TrafficVerdict::kBenign;
+      }
+      maybe_validate_integrity();
+      if (retrained) {
+        ++outcome.retrains;
+        ++i;
+        break;
       }
     }
     start = i;
   }
-}
-
-BatchOutcome DetectionRuntime::process_batch_tally(
-    ml::BatchView batch, std::span<TrafficVerdict> out) {
-  const std::uint64_t benign0 = benign_->value();
-  const std::uint64_t malware0 = malware_->value();
-  const std::uint64_t adversarial0 = adversarial_->value();
-  const std::uint64_t retrains0 = retrains_->value();
-  process_batch(batch, out);
-  BatchOutcome outcome;
-  outcome.benign = benign_->value() - benign0;
-  outcome.malware = malware_->value() - malware0;
-  outcome.adversarial = adversarial_->value() - adversarial0;
-  outcome.retrains = retrains_->value() - retrains0;
   return outcome;
 }
 
-std::vector<TrafficVerdict> DetectionRuntime::process_batch(
-    std::span<const std::vector<double>> rows) {
-  ml::FeatureMatrix packed;
-  packed.reserve_rows(rows.size());
-  for (const auto& r : rows) packed.push_row(r);
-  return process_batch(packed.view());
+std::vector<TrafficVerdict> DetectionRuntime::process_batch(ml::BatchView batch) {
+  std::vector<TrafficVerdict> verdicts(batch.rows());
+  process_batch(batch, verdicts);
+  return verdicts;
+}
+
+TrafficVerdict DetectionRuntime::process(std::span<const double> features) {
+  TrafficVerdict verdict;
+  process_batch(ml::BatchView(features.data(), 1, features.size(), 1),
+                std::span<TrafficVerdict>(&verdict, 1));
+  return verdict;
 }
 
 ml::MetricReport DetectionRuntime::process_stream(const ml::Dataset& stream) {
   stream.validate();
-  std::vector<TrafficVerdict> verdicts;
-  if (obs::Telemetry::enabled()) {
-    // Per-row path so the stage latency histograms see every sample;
-    // the batch path cannot time individual stages inside its parallel
-    // scoring region.
-    verdicts.reserve(stream.size());
-    std::vector<double> row(stream.num_features());
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      stream.gather_row(i, row);
-      verdicts.push_back(process(row));
-    }
-  } else {
-    verdicts = process_batch(stream.X.view());
-  }
+  const std::vector<TrafficVerdict> verdicts = process_batch(stream.X.view());
   std::vector<int> predictions;
   predictions.reserve(verdicts.size());
   for (const TrafficVerdict verdict : verdicts)

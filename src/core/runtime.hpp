@@ -14,8 +14,8 @@
 //
 // Every counter lives in an obs::MetricsRegistry (`drlhmd.runtime.*`), so
 // hmdctl, the benches, and RuntimeStats all read one source of truth.
-// Per-stage latency histograms (predictor / detector / integrity / total)
-// are recorded only while obs::Telemetry is enabled.
+// Stage and batch latency tails are recorded only while obs::Telemetry is
+// enabled; the code that scores and commits is the same either way.
 #pragma once
 
 #include "core/framework.hpp"
@@ -36,8 +36,8 @@ enum class TrafficVerdict : std::uint8_t {
 
 std::string verdict_name(TrafficVerdict verdict);
 
-/// Row tally of one batch entry (what the serving tier folds into its
-/// per-session and drlhmd.serve.* accounting).
+/// Row tally of one process_batch call, counted by its serial commit loop
+/// (what the serving tier folds into its drlhmd.serve.* accounting).
 struct BatchOutcome {
   std::uint64_t benign = 0;
   std::uint64_t malware = 0;
@@ -79,44 +79,30 @@ class DetectionRuntime {
  public:
   DetectionRuntime(Framework& framework, RuntimeConfig config = {});
 
-  /// Process one HPC sample (engineered, scaled feature space).
-  TrafficVerdict process(std::span<const double> features);
-
-  /// Process a columnar batch of samples: exactly the verdicts, counters,
-  /// quarantine contents, and retrain/integrity side effects that calling
-  /// process() on each row in order would produce.  Rows are scored against
-  /// the frozen deployed models through the detectors' vectorized batch
-  /// paths as a two-stage pipeline ("runtime.batch_score" region: predictor
-  /// feedback rewards, then detector routing, fused per chunk so the stages
-  /// overlap across chunks); side effects then commit serially in row
-  /// order.  If an adaptive retrain fires mid-batch, the remaining rows are
-  /// re-scored against the updated models via a zero-copy row slice.
-  /// Per-stage latency histograms are not recorded on this path — the
-  /// parallel region's span carries the batch scoring time instead.
+  /// Process a columnar batch of samples.  This is the runtime's one
+  /// scoring body; every other entry point wraps it.  Rows are scored
+  /// against the frozen deployed models through the detectors' vectorized
+  /// batch paths as a two-stage pipeline ("runtime.batch_score" region:
+  /// predictor feedback rewards, then detector routing, fused per chunk so
+  /// the stages overlap across chunks); side effects (counters, quarantine,
+  /// retrain, integrity sweep) then commit serially in row order.  If an
+  /// adaptive retrain fires mid-batch, the remaining rows are re-scored
+  /// against the updated models via a zero-copy row slice, so the result
+  /// equals feeding the rows one at a time.  Verdicts land in caller-owned
+  /// storage (out.size() == batch.rows()) and all scoring scratch comes from
+  /// the per-thread arenas, so a warmed-up runtime serving
+  /// already-quarantined traffic performs zero heap allocations per call
+  /// (asserted by the `alloc`-labeled ctest).  Returns the verdict and
+  /// retrain tally counted by the commit loop.
+  BatchOutcome process_batch(ml::BatchView batch, std::span<TrafficVerdict> out);
+  /// Owning-result convenience over the span entry.
   std::vector<TrafficVerdict> process_batch(ml::BatchView batch);
-  /// Allocation-free variant: verdicts land in caller-owned storage
-  /// (out.size() == batch.rows()) and all scoring scratch comes from the
-  /// per-thread arenas, so a warmed-up runtime serving already-quarantined
-  /// traffic performs zero heap allocations per call (asserted by the
-  /// `alloc`-labeled ctest).
-  void process_batch(ml::BatchView batch, std::span<TrafficVerdict> out);
-  /// Compatibility adapter: packs the rows into a FeatureMatrix (one copy)
-  /// and runs the columnar path.
-  std::vector<TrafficVerdict> process_batch(
-      std::span<const std::vector<double>> rows);
-  /// Allocation-free batch entry that also reports what happened: verdict
-  /// counts and whether an adaptive retrain fired mid-batch.  Computed as
-  /// registry counter deltas around process_batch, which is exact as long
-  /// as the caller serializes batch entry (the serving drain loop scores
-  /// under one lock, so this holds by construction).
-  BatchOutcome process_batch_tally(ml::BatchView batch,
-                                   std::span<TrafficVerdict> out);
-
-  /// Process a labeled stream; returns detection metrics where adversarial
-  /// verdicts count as "malware" (they are malware by construction).  Uses
-  /// process_batch() normally; when telemetry is enabled it walks the rows
-  /// through process() instead so the per-stage latency histograms see
-  /// every sample.
+  /// Process one HPC sample (engineered, scaled feature space) as a
+  /// one-row batch over a zero-copy view of `features`.
+  TrafficVerdict process(std::span<const double> features);
+  /// Process a labeled stream as one batch; returns detection metrics where
+  /// adversarial verdicts count as "malware" (they are malware by
+  /// construction).
   ml::MetricReport process_stream(const ml::Dataset& stream);
 
   /// Force an integrity validation pass now.
@@ -130,7 +116,8 @@ class DetectionRuntime {
   const RuntimeConfig& config() const { return config_; }
 
  private:
-  void maybe_retrain();
+  /// True when the quarantine reached the threshold and a retrain ran.
+  bool maybe_retrain();
   void maybe_validate_integrity();
 
   Framework& framework_;
@@ -149,17 +136,13 @@ class DetectionRuntime {
   obs::Counter* integrity_alarms_;
   obs::Gauge* quarantine_gauge_;
   obs::Gauge* retrain_gauge_;
-  obs::Histogram* latency_predictor_;
-  obs::Histogram* latency_detector_;
-  obs::Histogram* latency_integrity_;
-  obs::Histogram* latency_total_;
-  // Exact tail histograms alongside the legacy P² stage histograms:
-  // drlhmd.runtime.stage_tail_us{stage=} per stage, and per-batch wall
-  // time in drlhmd.runtime.batch_tail_us.
+  // Exact latency tails, recorded only while telemetry is enabled:
+  // drlhmd.runtime.stage_tail_us{stage=} per scored chunk (predictor,
+  // detector) or per validation (integrity), and per-batch wall time in
+  // drlhmd.runtime.batch_tail_us.
   obs::ShardedTailHistogram* tail_predictor_;
   obs::ShardedTailHistogram* tail_detector_;
   obs::ShardedTailHistogram* tail_integrity_;
-  obs::ShardedTailHistogram* tail_total_;
   obs::ShardedTailHistogram* tail_batch_;
 };
 

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
@@ -26,175 +25,6 @@ std::string metric_key(const std::string& name, const Labels& labels) {
 }
 
 // ---------------------------------------------------------------------------
-// P² quantile estimator.
-
-P2Quantile::P2Quantile(double quantile) : q_(quantile) {
-  desired_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_, 3.0 + 2.0 * q_, 5.0};
-  rates_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-}
-
-void P2Quantile::reset() {
-  count_ = 0;
-  heights_ = {};
-  positions_ = {};
-  desired_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_, 3.0 + 2.0 * q_, 5.0};
-}
-
-double P2Quantile::parabolic(int i, double d) const {
-  const double np = positions_[static_cast<std::size_t>(i + 1)];
-  const double nm = positions_[static_cast<std::size_t>(i - 1)];
-  const double n = positions_[static_cast<std::size_t>(i)];
-  const double hp = heights_[static_cast<std::size_t>(i + 1)];
-  const double hm = heights_[static_cast<std::size_t>(i - 1)];
-  const double h = heights_[static_cast<std::size_t>(i)];
-  return h + d / (np - nm) *
-                 ((n - nm + d) * (hp - h) / (np - n) +
-                  (np - n - d) * (h - hm) / (n - nm));
-}
-
-double P2Quantile::linear(int i, double d) const {
-  const auto j = static_cast<std::size_t>(i + static_cast<int>(d));
-  const auto k = static_cast<std::size_t>(i);
-  return heights_[k] + d * (heights_[j] - heights_[k]) /
-                           (positions_[j] - positions_[k]);
-}
-
-void P2Quantile::observe(double x) {
-  if (count_ < 5) {
-    heights_[count_++] = x;
-    if (count_ == 5) {
-      std::sort(heights_.begin(), heights_.end());
-      for (std::size_t i = 0; i < 5; ++i)
-        positions_[i] = static_cast<double>(i + 1);
-    }
-    return;
-  }
-
-  // 1. Locate the cell and update the extreme markers.
-  std::size_t k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-
-  // 2./3. Shift marker positions and the desired positions.
-  for (std::size_t i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) desired_[i] += rates_[i];
-  ++count_;
-
-  // 4. Nudge the three middle markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const double d = desired_[ui] - positions_[ui];
-    if ((d >= 1.0 && positions_[ui + 1] - positions_[ui] > 1.0) ||
-        (d <= -1.0 && positions_[ui - 1] - positions_[ui] < -1.0)) {
-      const double step = d >= 0.0 ? 1.0 : -1.0;
-      const double candidate = parabolic(i, step);
-      if (heights_[ui - 1] < candidate && candidate < heights_[ui + 1]) {
-        heights_[ui] = candidate;
-      } else {
-        heights_[ui] = linear(i, step);
-      }
-      positions_[ui] += step;
-    }
-  }
-}
-
-double P2Quantile::estimate() const {
-  if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  if (count_ < 5) {
-    // Exact small-sample quantile over the retained observations.
-    std::array<double, 5> sorted = heights_;
-    std::sort(sorted.begin(), sorted.begin() + static_cast<long>(count_));
-    const auto rank = static_cast<std::size_t>(
-        q_ * static_cast<double>(count_ - 1) + 0.5);
-    return sorted[std::min(rank, count_ - 1)];
-  }
-  return heights_[2];
-}
-
-// ---------------------------------------------------------------------------
-// Histogram.
-
-const std::vector<double>& default_latency_buckets_us() {
-  static const std::vector<double> kBuckets = {
-      1.0,    2.0,    5.0,    10.0,    20.0,    50.0,    100.0,   200.0,
-      500.0,  1e3,    2e3,    5e3,     1e4,     2e4,     5e4,     1e5,
-      2e5,    5e5,    1e6,    1e7};
-  return kBuckets;
-}
-
-Histogram::Histogram(std::vector<double> bucket_bounds)
-    : bounds_(std::move(bucket_bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_.assign(bounds_.size() + 1, 0);  // +1: the implicit +inf bucket
-}
-
-void Histogram::reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  buckets_.assign(bounds_.size() + 1, 0);
-  count_ = 0;
-  dropped_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  p50_.reset();
-  p95_.reset();
-  p99_.reset();
-}
-
-void Histogram::observe(double v) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (!std::isfinite(v)) {
-    // NaN would poison min/max/sum (and NaN comparisons would misplace the
-    // bucket); count the loss instead of absorbing it.
-    ++dropped_;
-    return;
-  }
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  sum_ += v;
-  p50_.observe(v);
-  p95_.observe(v);
-  p99_.observe(v);
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  Snapshot snap;
-  snap.count = count_;
-  snap.dropped = dropped_;
-  snap.sum = sum_;
-  if (count_ > 0) {
-    snap.min = min_;
-    snap.max = max_;
-    // The three P² estimators track their markers independently, so the
-    // estimates can cross by tiny amounts at small sample counts; clamp to
-    // keep the reported quantiles monotone.
-    snap.p50 = p50_.estimate();
-    snap.p95 = std::max(snap.p50, p95_.estimate());
-    snap.p99 = std::max(snap.p95, p99_.estimate());
-  }
-  snap.bounds = bounds_;
-  snap.buckets = buckets_;
-  return snap;
-}
-
-// ---------------------------------------------------------------------------
 // Registry.
 
 Counter& MetricsRegistry::counter(const std::string& name, const Labels& labels) {
@@ -215,23 +45,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
   auto it = gauges_.find(key);
   if (it == gauges_.end()) {
     it = gauges_.emplace(key, Entry<Gauge>{name, labels, std::make_unique<Gauge>()})
-             .first;
-  }
-  return *it->second.metric;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bucket_bounds,
-                                      const Labels& labels) {
-  const std::string key = metric_key(name, labels);
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(key);
-  if (it == histograms_.end()) {
-    if (bucket_bounds.empty()) bucket_bounds = default_latency_buckets_us();
-    it = histograms_
-             .emplace(key, Entry<Histogram>{name, labels,
-                                            std::make_unique<Histogram>(
-                                                std::move(bucket_bounds))})
              .first;
   }
   return *it->second.metric;
@@ -263,9 +76,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.gauges.reserve(gauges_.size());
   for (const auto& [key, entry] : gauges_)
     snap.gauges.push_back({entry.name, entry.labels, entry.metric->value()});
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [key, entry] : histograms_)
-    snap.histograms.push_back({entry.name, entry.labels, entry.metric->snapshot()});
   snap.tails.reserve(tails_.size());
   for (const auto& [key, entry] : tails_)
     snap.tails.push_back({entry.name, entry.labels, entry.metric->snapshot()});
@@ -274,21 +84,18 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 std::size_t MetricsRegistry::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         tails_.size();
+  return counters_.size() + gauges_.size() + tails_.size();
 }
 
 void MetricsRegistry::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   counters_.clear();
   gauges_.clear();
-  histograms_.clear();
   tails_.clear();
 }
 
 void MetricsRegistry::reset_recorders() {
   const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, entry] : histograms_) entry.metric->reset();
   for (auto& [key, entry] : tails_) entry.metric->reset();
 }
 
@@ -343,33 +150,6 @@ std::string MetricsSnapshot::to_json() const {
     w.kv("value", g.value).end_object();
   }
   w.end_array();
-  w.key("histograms").begin_array();
-  for (const auto& h : histograms) {
-    w.begin_object().kv("name", std::string_view(h.name));
-    write_labels(w, h.labels);
-    w.kv("count", h.data.count)
-        .kv("dropped", h.data.dropped)
-        .kv("sum", h.data.sum)
-        .kv("min", h.data.min)
-        .kv("max", h.data.max)
-        .kv("mean", h.data.mean())
-        .kv("p50", h.data.p50)
-        .kv("p95", h.data.p95)
-        .kv("p99", h.data.p99);
-    w.key("buckets").begin_array();
-    for (std::size_t b = 0; b < h.data.buckets.size(); ++b) {
-      w.begin_object();
-      w.key("le");
-      if (b < h.data.bounds.size()) {
-        w.value(h.data.bounds[b]);
-      } else {
-        w.value(std::string_view("+inf"));
-      }
-      w.kv("count", h.data.buckets[b]).end_object();
-    }
-    w.end_array().end_object();
-  }
-  w.end_array();
   w.key("tails").begin_array();
   for (const auto& t : tails) {
     w.begin_object().kv("name", std::string_view(t.name));
@@ -405,19 +185,6 @@ std::string MetricsSnapshot::to_table() const {
                      util::Table::fmt(g.value, 4)});
     out += table.to_string();
   }
-  if (!histograms.empty()) {
-    util::Table table(
-        {"histogram", "count", "mean", "p50", "p95", "p99", "max"});
-    for (const auto& h : histograms)
-      table.add_row({h.name + labels_text(h.labels),
-                     std::to_string(h.data.count),
-                     util::Table::fmt(h.data.mean(), 2),
-                     util::Table::fmt(h.data.p50, 2),
-                     util::Table::fmt(h.data.p95, 2),
-                     util::Table::fmt(h.data.p99, 2),
-                     util::Table::fmt(h.data.max, 2)});
-    out += table.to_string();
-  }
   if (!tails.empty()) {
     util::Table table(
         {"tail", "count", "mean", "p50", "p90", "p99", "p999", "max"});
@@ -442,10 +209,6 @@ const CounterSample* MetricsSnapshot::find_counter(const std::string& name,
 const GaugeSample* MetricsSnapshot::find_gauge(const std::string& name,
                                                const Labels& labels) const {
   return find_sample(gauges, name, labels);
-}
-const HistogramSample* MetricsSnapshot::find_histogram(
-    const std::string& name, const Labels& labels) const {
-  return find_sample(histograms, name, labels);
 }
 const TailSample* MetricsSnapshot::find_tail(const std::string& name,
                                              const Labels& labels) const {

@@ -1,5 +1,5 @@
-// Thread-safe metrics registry: counters, gauges, and latency histograms
-// with fixed buckets plus P² streaming quantile estimators (p50/p95/p99).
+// Thread-safe metrics registry: counters, gauges, and exact tail-latency
+// histograms (obs::ShardedTailHistogram, the one latency recorder).
 //
 // Metrics are addressed by name + label set under the naming scheme
 // `drlhmd.<layer>.<name>` (e.g. drlhmd.runtime.verdicts{verdict=benign}).
@@ -7,10 +7,8 @@
 // so hot paths resolve a metric once and then pay one atomic op per update.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,74 +52,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// P² streaming quantile estimator (Jain & Chlamtac 1985): tracks one
-/// quantile with five markers, O(1) memory, no sample retention.  Exact
-/// until five observations have arrived.
-class P2Quantile {
- public:
-  explicit P2Quantile(double quantile);
-
-  void observe(double x);
-  double estimate() const;
-  std::size_t count() const { return count_; }
-  /// Forget every observation (markers return to construction state).
-  void reset();
-
- private:
-  double parabolic(int i, double d) const;
-  double linear(int i, double d) const;
-
-  double q_;
-  std::size_t count_ = 0;
-  std::array<double, 5> heights_{};    // marker heights (quantile estimates)
-  std::array<double, 5> positions_{};  // actual marker positions n_i
-  std::array<double, 5> desired_{};    // desired positions n'_i
-  std::array<double, 5> rates_{};      // dn'_i per observation
-};
-
-/// Fixed-bucket histogram + min/max/sum + streaming p50/p95/p99.
-/// Buckets are upper bounds; an implicit +inf bucket catches the tail.
-/// Non-finite observations (NaN/Inf) are dropped — counted in `dropped`,
-/// never folded into min/max/sum — so one bad sample cannot poison the
-/// whole series.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bucket_bounds);
-
-  void observe(double v);
-  /// Zero every bucket and statistic, keeping the bounds (and the handle).
-  void reset();
-
-  struct Snapshot {
-    std::uint64_t count = 0;
-    std::uint64_t dropped = 0;  // non-finite observations skipped
-    double sum = 0.0;
-    double min = std::numeric_limits<double>::quiet_NaN();
-    double max = std::numeric_limits<double>::quiet_NaN();
-    double p50 = std::numeric_limits<double>::quiet_NaN();
-    double p95 = std::numeric_limits<double>::quiet_NaN();
-    double p99 = std::numeric_limits<double>::quiet_NaN();
-    std::vector<double> bounds;          // upper bounds (without +inf)
-    std::vector<std::uint64_t> buckets;  // bounds.size() + 1 counts
-    double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
-  };
-  Snapshot snapshot() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t count_ = 0;
-  std::uint64_t dropped_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  P2Quantile p50_{0.50}, p95_{0.95}, p99_{0.99};
-};
-
-/// Default microsecond latency buckets (1us .. 10s, roughly log-spaced).
-const std::vector<double>& default_latency_buckets_us();
-
 struct CounterSample {
   std::string name;
   Labels labels;
@@ -131,11 +61,6 @@ struct GaugeSample {
   std::string name;
   Labels labels;
   double value = 0.0;
-};
-struct HistogramSample {
-  std::string name;
-  Labels labels;
-  Histogram::Snapshot data;
 };
 struct TailSample {
   std::string name;
@@ -150,21 +75,17 @@ struct MetricsSnapshot {
   double captured_us = 0.0;
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
   std::vector<TailSample> tails;
 
-  /// {"captured_us":..,"counters":[...],"gauges":[...],"histograms":[...],
-  ///  "tails":[...]}
+  /// {"captured_us":..,"counters":[...],"gauges":[...],"tails":[...]}
   std::string to_json() const;
-  /// Human-readable tables (counters+gauges, then histogram/tail tables).
+  /// Human-readable tables (counters+gauges, then the tail table).
   std::string to_table() const;
 
   const CounterSample* find_counter(const std::string& name,
                                     const Labels& labels = {}) const;
   const GaugeSample* find_gauge(const std::string& name,
                                 const Labels& labels = {}) const;
-  const HistogramSample* find_histogram(const std::string& name,
-                                        const Labels& labels = {}) const;
   const TailSample* find_tail(const std::string& name,
                               const Labels& labels = {}) const;
 };
@@ -175,13 +96,9 @@ class MetricsRegistry {
  public:
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
-  /// Registers with `bucket_bounds` on first use (subsequent calls with the
-  /// same identity reuse the existing histogram regardless of bounds).
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> bucket_bounds = {},
-                       const Labels& labels = {});
   /// Exact tail-latency histogram (sharded, wait-free observe).  The config
-  /// applies on first registration only, like histogram bounds.
+  /// applies on first registration only (later calls with the same identity
+  /// reuse the existing recorder regardless of config).
   ShardedTailHistogram& tail(const std::string& name,
                              const TailConfig& config = {},
                              const Labels& labels = {});
@@ -189,7 +106,7 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
   std::size_t size() const;
   void clear();
-  /// Reset every histogram and tail recorder *in place*: counters and
+  /// Reset every tail recorder *in place*: counters and
   /// gauges keep their values, and — unlike clear() — every handle handed
   /// out stays valid.  This is how benches discard warmup-iteration
   /// latencies without invalidating the hot paths' cached pointers.
@@ -208,7 +125,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Entry<Counter>> counters_;
   std::map<std::string, Entry<Gauge>> gauges_;
-  std::map<std::string, Entry<Histogram>> histograms_;
   std::map<std::string, Entry<ShardedTailHistogram>> tails_;
 };
 

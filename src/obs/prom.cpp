@@ -118,23 +118,6 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
     sample(out, series(name, g.labels), g.value);
   }
 
-  for (const auto& h : snapshot.histograms) {
-    const std::string name = prom_name(h.name);
-    type_line(out, typed, name, "histogram");
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < h.data.buckets.size(); ++b) {
-      cumulative += h.data.buckets[b];
-      const std::string le = b < h.data.bounds.size()
-                                 ? format_value(h.data.bounds[b])
-                                 : std::string("+Inf");
-      sample(out, series(name + "_bucket", h.labels, "le", le),
-             static_cast<double>(cumulative));
-    }
-    sample(out, series(name + "_sum", h.labels), h.data.sum);
-    sample(out, series(name + "_count", h.labels),
-           static_cast<double>(h.data.count));
-  }
-
   for (const auto& t : snapshot.tails) {
     const std::string name = prom_name(t.name);
     type_line(out, typed, name, "summary");

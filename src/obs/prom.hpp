@@ -1,8 +1,6 @@
 // Prometheus text-exposition (version 0.0.4) export for MetricsSnapshot.
 //
 //   * counters / gauges map 1:1 (`# TYPE` + one sample per label set),
-//   * legacy fixed-bucket Histograms export as prometheus `histogram`
-//     (cumulative `_bucket{le="..."}` series + `_sum` + `_count`),
 //   * exact TailHistograms export as prometheus `summary`
 //     (`{quantile="0.99"}` series + `_sum` + `_count`) — quantiles are
 //     exact-within-bucket, which is precisely what summary semantics want.

@@ -1,9 +1,6 @@
-// Exact tail-latency histograms (HDR-style log-linear bucketing).
-//
-// The PR-1 obs::Histogram takes a mutex per observe() and reports
-// P²-*estimated* quantiles — good enough for coarse pipeline timing, not
-// for the p99/p999 serving numbers ROADMAP item 1 wants.  TailHistogram
-// fixes both properties:
+// Exact tail-latency histograms (HDR-style log-linear bucketing): the obs
+// layer's one latency recorder.  Two properties make its p99/p999 serving
+// numbers trustworthy:
 //
 //   * Log-linear buckets: values are mapped to integer ticks and bucketed
 //     with `precision_bits` of linear resolution per power-of-two range

@@ -56,31 +56,24 @@ inline Span phase_span(std::string name) {
   return Telemetry::tracer().span(std::move(name));
 }
 
-/// RAII latency recorder: observes elapsed microseconds into a legacy
-/// fixed-bucket histogram and/or an exact tail histogram on destruction.
-/// When both targets are null it is a no-op (and skips the clock reads
-/// entirely).
+/// RAII latency recorder: observes elapsed microseconds into an exact tail
+/// histogram on destruction.  A null target makes it a no-op that skips the
+/// clock reads entirely.
 class ScopedLatency {
  public:
-  explicit ScopedLatency(Histogram* histogram,
-                         ShardedTailHistogram* tail = nullptr)
-      : histogram_(histogram), tail_(tail) {
-    if (histogram_ != nullptr || tail_ != nullptr)
-      start_ = std::chrono::steady_clock::now();
+  explicit ScopedLatency(ShardedTailHistogram* tail) : tail_(tail) {
+    if (tail_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ScopedLatency(const ScopedLatency&) = delete;
   ScopedLatency& operator=(const ScopedLatency&) = delete;
   ~ScopedLatency() {
-    if (histogram_ == nullptr && tail_ == nullptr) return;
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - start_)
-                          .count();
-    if (histogram_ != nullptr) histogram_->observe(us);
-    if (tail_ != nullptr) tail_->observe(us);
+    if (tail_ == nullptr) return;
+    tail_->observe(std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - start_)
+                       .count());
   }
 
  private:
-  Histogram* histogram_;
   ShardedTailHistogram* tail_;
   std::chrono::steady_clock::time_point start_{};
 };

@@ -153,12 +153,4 @@ AdversarialPredictor AdversarialPredictor::deserialize(
   return predictor;
 }
 
-std::vector<double> AdversarialPredictor::reward_trace(
-    const std::vector<std::vector<double>>& stream) const {
-  std::vector<double> trace;
-  trace.reserve(stream.size());
-  for (const auto& row : stream) trace.push_back(feedback_reward(row));
-  return trace;
-}
-
 }  // namespace drlhmd::rl

@@ -55,9 +55,6 @@ class AdversarialPredictor {
   ml::MetricReport evaluate(const ml::Dataset& adversarial,
                             const ml::Dataset& legitimate) const;
 
-  /// Reward trace over a stream of samples (Figure 3(b)).
-  std::vector<double> reward_trace(const std::vector<std::vector<double>>& stream) const;
-
   bool trained() const { return trained_; }
   const A2C& agent() const { return agent_; }
   double mean_training_episode_reward() const { return mean_episode_reward_; }

@@ -145,7 +145,7 @@ std::size_t DetectionServer::flush(Worker& worker, FlushReason reason) {
     // drain worker this lock is uncontended and the fast path stays
     // lock-free end to end (the lock only serializes multi-worker flushes).
     std::lock_guard<std::mutex> lock(score_mu_);
-    const core::BatchOutcome outcome = runtime_.process_batch_tally(
+    const core::BatchOutcome outcome = runtime_.process_batch(
         worker.tile.view().rows_slice(0, n),
         std::span<core::TrafficVerdict>(worker.verdicts.data(), n));
     if (outcome.retrains != 0) retrains_->inc(outcome.retrains);

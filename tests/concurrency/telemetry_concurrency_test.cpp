@@ -1,14 +1,17 @@
 // Telemetry under concurrency: the sharded tail recorder must lose nothing
 // under contention, and — because sums accumulate in integer ticks — the
 // same multiset of observations must snapshot bitwise identically no matter
-// how many threads recorded it (DRLHMD_THREADS=1/2/8 equivalence).
+// how many threads recorded it (DRLHMD_THREADS=1/2/8 equivalence).  Turning
+// telemetry on must not change what the detection runtime decides.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "obs/tail_histogram.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -156,6 +159,92 @@ TEST_F(TelemetrySweep, DisabledTelemetryObservesNoRegions) {
   EXPECT_EQ(snap.find_counter("drlhmd.parallel.regions",
                               {{"label", "unobserved_probe"}}),
             nullptr);
+}
+
+TEST_F(TelemetrySweep, RuntimeResultsIndependentOfTelemetryAndWidth) {
+  core::FrameworkConfig cfg;
+  cfg.corpus.benign_apps = 30;
+  cfg.corpus.malware_apps = 30;
+  cfg.corpus.windows_per_app = 3;
+  core::Framework fw(cfg);
+  fw.run_all();
+  const ml::Dataset& mix = fw.attacked_test_mix();
+  core::RuntimeConfig rcfg;
+  rcfg.retrain_threshold = 0;  // a retrain would refit the shared framework
+  rcfg.integrity_check_period = 7;
+  rcfg.policy = rl::ConstraintPolicy::kSmallMemory;
+  // Chunk layout depends only on the row count, never on the pool width.
+  const std::size_t grain = util::parallel_resolve_grain(mix.size(), 0);
+  const std::size_t chunks = (mix.size() + grain - 1) / grain;
+
+  struct Run {
+    ml::MetricReport report;
+    std::vector<core::TrafficVerdict> verdicts;
+    core::RuntimeStats stats;
+    std::size_t quarantine = 0;
+    std::uint64_t predictor_tail = 0, detector_tail = 0, integrity_tail = 0,
+                  batch_tail = 0, bridged_chunks = 0;
+  };
+  const auto run = [&](std::size_t width, bool telemetry) {
+    util::set_parallel_threads(width);
+    obs::Telemetry::reset();
+    obs::Telemetry::set_enabled(telemetry);
+    core::DetectionRuntime runtime(fw, rcfg);
+    Run r;
+    r.report = runtime.process_stream(mix);
+    r.verdicts = runtime.process_batch(mix.X.view());
+    obs::Telemetry::set_enabled(false);
+    r.stats = runtime.stats();
+    r.quarantine = runtime.quarantine_size();
+    const obs::MetricsSnapshot snap = runtime.metrics().snapshot();
+    const auto count = [&snap](const char* name, const obs::Labels& labels) {
+      const obs::TailSample* tail = snap.find_tail(name, labels);
+      return tail != nullptr ? tail->data.count : std::uint64_t{0};
+    };
+    r.predictor_tail =
+        count("drlhmd.runtime.stage_tail_us", {{"stage", "predictor"}});
+    r.detector_tail = count("drlhmd.runtime.stage_tail_us", {{"stage", "detector"}});
+    r.integrity_tail =
+        count("drlhmd.runtime.stage_tail_us", {{"stage", "integrity"}});
+    r.batch_tail = count("drlhmd.runtime.batch_tail_us", {});
+    const obs::MetricsSnapshot global = obs::Telemetry::metrics().snapshot();
+    const auto* bridged = global.find_counter(
+        "drlhmd.parallel.chunks", {{"label", "runtime.batch_score"}});
+    r.bridged_chunks = bridged != nullptr ? bridged->value : 0;
+    return r;
+  };
+
+  const Run base = run(1, false);
+  ASSERT_EQ(base.verdicts.size(), mix.size());
+  ASSERT_GT(base.stats.integrity_checks, 0u);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    for (const bool telemetry : {false, true}) {
+      SCOPED_TRACE("width " + std::to_string(width) +
+                   (telemetry ? ", telemetry on" : ", telemetry off"));
+      const Run r = run(width, telemetry);
+      EXPECT_EQ(r.verdicts, base.verdicts);
+      EXPECT_EQ(r.report.confusion.tp, base.report.confusion.tp);
+      EXPECT_EQ(r.report.confusion.fp, base.report.confusion.fp);
+      EXPECT_EQ(r.report.confusion.tn, base.report.confusion.tn);
+      EXPECT_EQ(r.report.confusion.fn, base.report.confusion.fn);
+      EXPECT_EQ(r.report.f1, base.report.f1);
+      EXPECT_EQ(r.stats.processed, base.stats.processed);
+      EXPECT_EQ(r.stats.benign, base.stats.benign);
+      EXPECT_EQ(r.stats.malware, base.stats.malware);
+      EXPECT_EQ(r.stats.adversarial, base.stats.adversarial);
+      EXPECT_EQ(r.stats.integrity_checks, base.stats.integrity_checks);
+      EXPECT_EQ(r.stats.integrity_alarms, 0u);
+      EXPECT_EQ(r.quarantine, base.quarantine);
+      // Two batches (process_stream, then process_batch), each scored as
+      // `chunks` pipeline chunks: one stage sample per chunk and stage.
+      const std::uint64_t want_chunks = telemetry ? 2 * chunks : 0;
+      EXPECT_EQ(r.bridged_chunks, want_chunks);
+      EXPECT_EQ(r.predictor_tail, want_chunks);
+      EXPECT_EQ(r.detector_tail, want_chunks);
+      EXPECT_EQ(r.integrity_tail, telemetry ? r.stats.integrity_checks : 0);
+      EXPECT_EQ(r.batch_tail, telemetry ? 2u : 0u);
+    }
+  }
 }
 
 }  // namespace

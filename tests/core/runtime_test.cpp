@@ -83,20 +83,57 @@ TEST_F(RuntimeFixture, ProcessStreamReportsMetrics) {
   EXPECT_EQ(runtime.stats().processed, framework_->attacked_test_mix().size());
 }
 
+/// Verdict counts of a stream, in BatchOutcome's shape.
+BatchOutcome count_verdicts(const std::vector<TrafficVerdict>& verdicts) {
+  BatchOutcome counts;
+  for (const TrafficVerdict v : verdicts) {
+    counts.benign += v == TrafficVerdict::kBenign ? 1 : 0;
+    counts.malware += v == TrafficVerdict::kMalware ? 1 : 0;
+    counts.adversarial += v == TrafficVerdict::kAdversarialMalware ? 1 : 0;
+  }
+  return counts;
+}
+
 TEST_F(RuntimeFixture, BatchVerdictsMatchSequentialProcess) {
   const auto& mix = framework_->attacked_test_mix();
-  DetectionRuntime sequential(*framework_);
+  RuntimeConfig cfg;
+  cfg.retrain_threshold = 0;  // frozen models, so the row oracle holds
+  // Independent oracle: the deployed models' own row APIs, in the order the
+  // paper's loop applies them (predictor first, then the routed detector).
+  const auto& predictor = framework_->predictor();
+  const auto& controller = framework_->controller(cfg.policy);
   std::vector<TrafficVerdict> expected;
   expected.reserve(mix.size());
-  for (const auto& row : mix.rows_copy()) expected.push_back(sequential.process(row));
+  for (const auto& row : mix.rows_copy()) {
+    if (predictor.is_adversarial(row)) {
+      expected.push_back(TrafficVerdict::kAdversarialMalware);
+    } else {
+      expected.push_back(controller.predict(row) == 1 ? TrafficVerdict::kMalware
+                                                      : TrafficVerdict::kBenign);
+    }
+  }
+  const BatchOutcome want = count_verdicts(expected);
 
-  DetectionRuntime batched(*framework_);
+  DetectionRuntime batched(*framework_, cfg);
   const std::vector<TrafficVerdict> got = batched.process_batch(mix.X.view());
   EXPECT_EQ(got, expected);
-  EXPECT_EQ(batched.stats().processed, sequential.stats().processed);
-  EXPECT_EQ(batched.stats().adversarial, sequential.stats().adversarial);
-  EXPECT_EQ(batched.stats().malware, sequential.stats().malware);
-  EXPECT_EQ(batched.stats().benign, sequential.stats().benign);
+  EXPECT_EQ(batched.stats().processed, mix.size());
+  EXPECT_EQ(batched.stats().adversarial, want.adversarial);
+  EXPECT_EQ(batched.stats().malware, want.malware);
+  EXPECT_EQ(batched.stats().benign, want.benign);
+
+  // process() row by row is the same body over one-row batches.
+  DetectionRuntime sequential(*framework_, cfg);
+  std::vector<TrafficVerdict> rowwise;
+  rowwise.reserve(mix.size());
+  for (const auto& row : mix.rows_copy()) rowwise.push_back(sequential.process(row));
+  EXPECT_EQ(rowwise, got);
+  EXPECT_EQ(sequential.stats().processed, batched.stats().processed);
+  EXPECT_EQ(sequential.stats().adversarial, batched.stats().adversarial);
+  EXPECT_EQ(sequential.stats().malware, batched.stats().malware);
+  EXPECT_EQ(sequential.stats().benign, batched.stats().benign);
+  EXPECT_EQ(sequential.stats().integrity_checks, batched.stats().integrity_checks);
+  EXPECT_EQ(sequential.quarantine_size(), batched.quarantine_size());
 }
 
 TEST_F(RuntimeFixture, BatchTallyReportsPerBatchVerdictDeltas) {
@@ -105,25 +142,21 @@ TEST_F(RuntimeFixture, BatchTallyReportsPerBatchVerdictDeltas) {
   const std::size_t n = std::min<std::size_t>(mix.size(), 32);
   std::vector<TrafficVerdict> verdicts(n);
   const BatchOutcome outcome =
-      runtime.process_batch_tally(mix.X.view().rows_slice(0, n),
-                                  std::span<TrafficVerdict>(verdicts));
-  // The tally is the per-batch delta of the registry counters, so it must
-  // agree exactly with the verdicts written into the span.
-  std::size_t benign = 0, malware = 0, adversarial = 0;
-  for (const TrafficVerdict v : verdicts) {
-    benign += v == TrafficVerdict::kBenign ? 1 : 0;
-    malware += v == TrafficVerdict::kMalware ? 1 : 0;
-    adversarial += v == TrafficVerdict::kAdversarialMalware ? 1 : 0;
-  }
-  EXPECT_EQ(outcome.benign, benign);
-  EXPECT_EQ(outcome.malware, malware);
-  EXPECT_EQ(outcome.adversarial, adversarial);
+      runtime.process_batch(mix.X.view().rows_slice(0, n),
+                            std::span<TrafficVerdict>(verdicts));
+  // The commit loop counts each row it commits, so the outcome must agree
+  // exactly with the verdicts written into the span.
+  const BatchOutcome want = count_verdicts(verdicts);
+  EXPECT_EQ(outcome.benign, want.benign);
+  EXPECT_EQ(outcome.malware, want.malware);
+  EXPECT_EQ(outcome.adversarial, want.adversarial);
+  EXPECT_EQ(outcome.retrains, 0u);
   EXPECT_EQ(outcome.benign + outcome.malware + outcome.adversarial, n);
 
   // A second batch tallies only its own rows, not the running totals.
   const BatchOutcome again =
-      runtime.process_batch_tally(mix.X.view().rows_slice(0, n),
-                                  std::span<TrafficVerdict>(verdicts));
+      runtime.process_batch(mix.X.view().rows_slice(0, n),
+                            std::span<TrafficVerdict>(verdicts));
   EXPECT_EQ(again.benign + again.malware + again.adversarial, n);
   EXPECT_EQ(runtime.stats().processed, 2 * n);
 }
@@ -215,27 +248,149 @@ TEST_F(RuntimeFixture, StageLatencyHistogramsRecordWhenTelemetryEnabled) {
   for (std::size_t i = 0; i < n; ++i) runtime.process(mix.row_copy(i));
   obs::Telemetry::set_enabled(false);
 
+  // Each process() is a one-row batch scored as one chunk: one batch tail
+  // and one predictor and detector stage sample per row.
   const obs::MetricsSnapshot snap = runtime.metrics().snapshot();
-  const auto* total = snap.find_histogram("drlhmd.runtime.stage_latency_us",
-                                          {{"stage", "total"}});
-  const auto* predictor = snap.find_histogram("drlhmd.runtime.stage_latency_us",
-                                              {{"stage", "predictor"}});
-  ASSERT_NE(total, nullptr);
+  const auto* batch = snap.find_tail("drlhmd.runtime.batch_tail_us");
+  const auto* predictor =
+      snap.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "predictor"}});
+  const auto* detector =
+      snap.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "detector"}});
+  ASSERT_NE(batch, nullptr);
   ASSERT_NE(predictor, nullptr);
-  EXPECT_EQ(total->data.count, n);
+  ASSERT_NE(detector, nullptr);
+  EXPECT_EQ(batch->data.count, n);
   EXPECT_EQ(predictor->data.count, n);
-  EXPECT_LE(total->data.p50, total->data.p95);
-  EXPECT_LE(total->data.p95, total->data.p99);
-  EXPECT_GT(total->data.max, 0.0);
+  EXPECT_EQ(detector->data.count, n);
+  EXPECT_LE(batch->data.p50, batch->data.p99);
+  EXPECT_LE(batch->data.p99, batch->data.p999);
+  EXPECT_GT(batch->data.max, 0.0);
+  // The batch tail is the whole-call time; there is no separate total.
+  EXPECT_EQ(snap.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "total"}}),
+            nullptr);
 
-  // With telemetry off, further samples bump counters but not histograms.
+  // With telemetry off, further samples bump counters but not tails.
   runtime.process(mix.row_copy(0));
   const auto after = runtime.metrics().snapshot();
-  EXPECT_EQ(after.find_histogram("drlhmd.runtime.stage_latency_us",
-                                 {{"stage", "total"}})
+  EXPECT_EQ(after.find_tail("drlhmd.runtime.batch_tail_us")->data.count, n);
+  EXPECT_EQ(after.find_tail("drlhmd.runtime.stage_tail_us", {{"stage", "predictor"}})
                 ->data.count,
             n);
   EXPECT_EQ(after.find_counter("drlhmd.runtime.processed")->value, n + 1);
+}
+
+TEST(RuntimeRetrainTest, MidBatchRetrainMatchesRowByRowProcess) {
+  // Two identical small pipelines: a retrain refits its framework's models.
+  FrameworkConfig cfg;
+  cfg.corpus.benign_apps = 30;
+  cfg.corpus.malware_apps = 30;
+  cfg.corpus.windows_per_app = 3;
+  Framework batch_fw(cfg);
+  batch_fw.run_all();
+  Framework row_fw(cfg);
+  row_fw.run_all();
+  const auto serialized = [](const Framework& fw) {
+    std::vector<std::vector<std::uint8_t>> bytes;
+    for (const auto& model : fw.defended_models()) bytes.push_back(model->serialize());
+    return bytes;
+  };
+  ASSERT_EQ(serialized(batch_fw), serialized(row_fw));
+
+  // Agent 2 routes on model size, not measured latency, so both runtimes
+  // route identically after every retrain.
+  RuntimeConfig rcfg;
+  rcfg.retrain_threshold = 10;
+  rcfg.integrity_check_period = 7;
+  rcfg.policy = rl::ConstraintPolicy::kSmallMemory;
+
+  // Adversarial rows interleaved with clean ones, so retrains fire with rows
+  // still pending in the batch.
+  const ml::Dataset& adv = batch_fw.adversarial_test();
+  const ml::Dataset& clean = batch_fw.test_set();
+  ml::Dataset rows;
+  for (std::size_t i = 0; i < std::max(adv.size(), clean.size()); ++i) {
+    if (i < clean.size()) rows.push(clean.row_copy(i), clean.y[i]);
+    if (i < adv.size()) rows.push(adv.row_copy(i), 1);
+  }
+  // Then pairs of rows straddling the served detector's decision boundary,
+  // found by bisecting the segment from a benign to a malware test row; the
+  // label is the deployed detector's verdict.  Clean rows sit far from the
+  // boundary, so a refit leaves their verdicts alone, but it moves the
+  // boundary past some of these rows: they are what tells re-scored
+  // verdicts from stale pre-retrain ones.
+  const rl::ConstraintController& detector = batch_fw.controller(rcfg.policy);
+  std::vector<std::vector<double>> benign, malware;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    std::vector<double> row = clean.row_copy(i);
+    if (detector.predict(row) == clean.y[i])
+      (clean.y[i] == 1 ? malware : benign).push_back(std::move(row));
+  }
+  ASSERT_FALSE(benign.empty());
+  ASSERT_FALSE(malware.empty());
+  const std::size_t first_straddle = rows.size();
+  for (std::size_t k = 0; k < 8; ++k) {
+    const std::vector<double>& b = benign[k % benign.size()];
+    const std::vector<double>& m = malware[k % malware.size()];
+    const auto at = [&](double t) {
+      std::vector<double> point(b.size());
+      for (std::size_t c = 0; c < point.size(); ++c) point[c] = b[c] + t * (m[c] - b[c]);
+      return point;
+    };
+    double lo = 0.0, hi = 1.0;
+    for (int step = 0; step < 60; ++step) {
+      const double mid = 0.5 * (lo + hi);
+      (detector.predict(at(mid)) == 1 ? hi : lo) = mid;
+    }
+    rows.push(at(lo), 0);
+    rows.push(at(hi), 1);
+  }
+
+  DetectionRuntime batched(batch_fw, rcfg);
+  std::vector<TrafficVerdict> got(rows.size());
+  const BatchOutcome outcome = batched.process_batch(rows.X.view(), got);
+
+  DetectionRuntime sequential(row_fw, rcfg);
+  std::vector<TrafficVerdict> want;
+  want.reserve(rows.size());
+  for (const auto& row : rows.rows_copy()) want.push_back(sequential.process(row));
+
+  // The first retrain fires at the threshold-th flagged row, with rows left
+  // to re-score against the refit models.
+  ASSERT_GE(outcome.retrains, 1u);
+  std::size_t flagged = 0, first_retrain_row = rows.size();
+  for (std::size_t i = 0; i < got.size() && first_retrain_row == rows.size(); ++i)
+    if (got[i] == TrafficVerdict::kAdversarialMalware &&
+        ++flagged == rcfg.retrain_threshold)
+      first_retrain_row = i;
+  EXPECT_LT(first_retrain_row + 1, rows.size());
+  // The refit moved the boundary: some straddling row no longer gets the
+  // verdict the models deployed before the retrain gave it.
+  std::size_t moved = 0;
+  for (std::size_t i = first_straddle; i < rows.size(); ++i)
+    if (got[i] != TrafficVerdict::kAdversarialMalware)
+      moved += (got[i] == TrafficVerdict::kMalware ? 1 : 0) != rows.y[i] ? 1 : 0;
+  EXPECT_GT(moved, 0u);
+
+  EXPECT_EQ(got, want);
+  const RuntimeStats b = batched.stats();
+  const RuntimeStats s = sequential.stats();
+  EXPECT_EQ(b.processed, s.processed);
+  EXPECT_EQ(b.benign, s.benign);
+  EXPECT_EQ(b.malware, s.malware);
+  EXPECT_EQ(b.adversarial, s.adversarial);
+  EXPECT_EQ(b.retrains, s.retrains);
+  EXPECT_EQ(b.integrity_checks, s.integrity_checks);
+  EXPECT_EQ(b.integrity_alarms, 0u);
+  EXPECT_EQ(s.integrity_alarms, 0u);
+  EXPECT_EQ(batched.quarantine_size(), sequential.quarantine_size());
+
+  const BatchOutcome counted = count_verdicts(got);
+  EXPECT_EQ(outcome.benign, counted.benign);
+  EXPECT_EQ(outcome.malware, counted.malware);
+  EXPECT_EQ(outcome.adversarial, counted.adversarial);
+  EXPECT_EQ(outcome.retrains, b.retrains);
+
+  EXPECT_EQ(serialized(batch_fw), serialized(row_fw));
 }
 
 TEST_F(RuntimeFixture, IncrementalUpdateRejectsBenignLabels) {

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
-#include "util/rng.hpp"
 
 namespace drlhmd::obs {
 namespace {
@@ -32,63 +30,6 @@ TEST(GaugeTest, SetAndAdd) {
   g.set(2.5);
   g.add(-1.0);
   EXPECT_DOUBLE_EQ(g.value(), 1.5);
-}
-
-TEST(P2QuantileTest, ExactForSmallSamples) {
-  P2Quantile p50(0.5);
-  p50.observe(3.0);
-  p50.observe(1.0);
-  p50.observe(2.0);
-  EXPECT_DOUBLE_EQ(p50.estimate(), 2.0);
-}
-
-TEST(P2QuantileTest, TracksUniformStreamQuantiles) {
-  // 10k uniform [0,1000) samples: p50/p95/p99 estimates must land close to
-  // the true quantiles without retaining the stream.
-  util::Rng rng(7);
-  P2Quantile p50(0.5), p95(0.95), p99(0.99);
-  std::vector<double> all;
-  for (int i = 0; i < 10000; ++i) {
-    const double x = rng.uniform() * 1000.0;
-    all.push_back(x);
-    p50.observe(x);
-    p95.observe(x);
-    p99.observe(x);
-  }
-  std::sort(all.begin(), all.end());
-  EXPECT_NEAR(p50.estimate(), all[all.size() / 2], 25.0);
-  EXPECT_NEAR(p95.estimate(), all[all.size() * 95 / 100], 25.0);
-  EXPECT_NEAR(p99.estimate(), all[all.size() * 99 / 100], 25.0);
-}
-
-TEST(HistogramTest, BucketsPartitionObservations) {
-  Histogram h({1.0, 10.0, 100.0});
-  for (const double v : {0.5, 0.7, 5.0, 50.0, 5000.0}) h.observe(v);
-  const auto snap = h.snapshot();
-  EXPECT_EQ(snap.count, 5u);
-  ASSERT_EQ(snap.buckets.size(), 4u);  // 3 bounds + the +inf tail
-  EXPECT_EQ(snap.buckets[0], 2u);      // <= 1
-  EXPECT_EQ(snap.buckets[1], 1u);      // <= 10
-  EXPECT_EQ(snap.buckets[2], 1u);      // <= 100
-  EXPECT_EQ(snap.buckets[3], 1u);      // +inf
-  EXPECT_DOUBLE_EQ(snap.min, 0.5);
-  EXPECT_DOUBLE_EQ(snap.max, 5000.0);
-  EXPECT_DOUBLE_EQ(snap.sum, 5056.2);
-  const std::uint64_t total = snap.buckets[0] + snap.buckets[1] +
-                              snap.buckets[2] + snap.buckets[3];
-  EXPECT_EQ(total, snap.count);
-}
-
-TEST(HistogramTest, QuantilesOrderedOnSkewedStream) {
-  Histogram h({});
-  // Mostly-fast latencies with a slow tail, the runtime's typical shape.
-  for (int i = 0; i < 950; ++i) h.observe(10.0 + (i % 7));
-  for (int i = 0; i < 50; ++i) h.observe(500.0 + i);
-  const auto snap = h.snapshot();
-  EXPECT_LE(snap.p50, snap.p95);
-  EXPECT_LE(snap.p95, snap.p99);
-  EXPECT_LT(snap.p50, 20.0);
-  EXPECT_GT(snap.p99, 100.0);
 }
 
 TEST(MetricsRegistryTest, HandlesAreStableAndIdentityAddressed) {
@@ -121,7 +62,7 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesFromManyThreads) {
       // and hammers shared metrics.
       Counter& hits = reg.counter("drlhmd.test.concurrent.hits");
       Gauge& level = reg.gauge("drlhmd.test.concurrent.level");
-      Histogram& lat = reg.histogram("drlhmd.test.concurrent.latency_us");
+      ShardedTailHistogram& lat = reg.tail("drlhmd.test.concurrent.latency_us");
       for (int i = 0; i < kIters; ++i) {
         hits.inc();
         level.add(1.0);
@@ -135,7 +76,7 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesFromManyThreads) {
             static_cast<std::uint64_t>(kThreads * kIters));
   EXPECT_DOUBLE_EQ(snap.find_gauge("drlhmd.test.concurrent.level")->value,
                    static_cast<double>(kThreads * kIters));
-  EXPECT_EQ(snap.find_histogram("drlhmd.test.concurrent.latency_us")->data.count,
+  EXPECT_EQ(snap.find_tail("drlhmd.test.concurrent.latency_us")->data.count,
             static_cast<std::uint64_t>(kThreads * kIters));
 }
 
@@ -143,31 +84,33 @@ TEST(MetricsSnapshotTest, JsonIsValidAndCarriesAllSections) {
   MetricsRegistry reg;
   reg.counter("drlhmd.test.count").inc(5);
   reg.gauge("drlhmd.test.level", {{"k", "v"}}).set(1.25);
-  reg.histogram("drlhmd.test.lat_us").observe(42.0);
+  reg.tail("drlhmd.test.lat_us").observe(42.0);
   const std::string json = reg.snapshot().to_json();
   EXPECT_TRUE(json_valid(json));
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
+  EXPECT_NE(json.find("\"tails\""), std::string::npos);
+  EXPECT_NE(json.find("\"p999\""), std::string::npos);
+  // Tails are the one latency recorder: no legacy histogram section.
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("drlhmd.test.count"), std::string::npos);
 }
 
 TEST(MetricsSnapshotTest, TableRendersEveryMetric) {
   MetricsRegistry reg;
   reg.counter("drlhmd.test.count").inc();
-  reg.histogram("drlhmd.test.lat_us").observe(1.0);
+  reg.tail("drlhmd.test.lat_us").observe(1.0);
   const std::string table = reg.snapshot().to_table();
   EXPECT_NE(table.find("drlhmd.test.count"), std::string::npos);
   EXPECT_NE(table.find("drlhmd.test.lat_us"), std::string::npos);
-  EXPECT_NE(table.find("p95"), std::string::npos);
+  EXPECT_NE(table.find("p999"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, ClearEmptiesTheRegistry) {
   MetricsRegistry reg;
   reg.counter("a").inc();
   reg.gauge("b").set(1);
-  reg.histogram("c").observe(1);
+  reg.tail("c").observe(1);
   EXPECT_EQ(reg.size(), 3u);
   reg.clear();
   EXPECT_EQ(reg.size(), 0u);

@@ -15,8 +15,6 @@ MetricsSnapshot populated_snapshot() {
   reg.counter("drlhmd.runtime.verdicts", {{"verdict", "benign"}}).inc(10);
   reg.counter("drlhmd.runtime.verdicts", {{"verdict", "malware"}}).inc(3);
   reg.gauge("drlhmd.pipeline.progress").set(0.5);
-  Histogram& legacy = reg.histogram("drlhmd.runtime.stage_latency_us");
-  for (int i = 0; i < 100; ++i) legacy.observe(10.0 + i);
   ShardedTailHistogram& tail = reg.tail("drlhmd.runtime.stage_tail_us", {},
                                         {{"stage", "predictor"}});
   for (int i = 0; i < 1000; ++i) tail.observe(5.0 + (i % 50));
@@ -36,19 +34,18 @@ TEST(PromExportTest, PopulatedSnapshotPassesLint) {
   std::string error;
   EXPECT_TRUE(prom_lint(text, &error)) << error << "\n" << text;
 
-  // All four metric families present with their exposition types.
+  // All three metric families present with their exposition types.
   EXPECT_NE(text.find("# TYPE drlhmd_runtime_verdicts counter"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE drlhmd_pipeline_progress gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE drlhmd_runtime_stage_latency_us histogram"),
-            std::string::npos);
   EXPECT_NE(text.find("# TYPE drlhmd_runtime_stage_tail_us summary"),
             std::string::npos);
-  // Labeled series, cumulative buckets, and summary quantiles.
+  // Tails are the one latency recorder: nothing exports as a histogram.
+  EXPECT_EQ(text.find(" histogram\n"), std::string::npos);
+  // Labeled series and summary quantiles.
   EXPECT_NE(text.find("drlhmd_runtime_verdicts{verdict=\"benign\"} 10"),
             std::string::npos);
-  EXPECT_NE(text.find("_bucket{le=\"+Inf\"}"), std::string::npos);
   EXPECT_NE(text.find("{stage=\"predictor\",quantile=\"0.99\"}"),
             std::string::npos);
   EXPECT_NE(text.find("drlhmd_runtime_stage_tail_us_count"),

@@ -123,10 +123,10 @@ TEST(TelemetryTest, PhaseSpanIsInertWhenDisabled) {
 }
 
 TEST(TelemetryTest, ScopedLatencyObservesMicroseconds) {
-  Histogram h({});
-  { ScopedLatency lat(&h); }
+  ShardedTailHistogram tail;
+  { ScopedLatency lat(&tail); }
   { ScopedLatency noop(nullptr); }
-  const auto snap = h.snapshot();
+  const auto snap = tail.snapshot();
   EXPECT_EQ(snap.count, 1u);
   EXPECT_GE(snap.max, 0.0);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace drlhmd::rl {
 namespace {
 
@@ -92,11 +95,18 @@ TEST(AdversarialPredictorTest, RewardTraceShapeMatchesStream) {
   AdversarialPredictor predictor(4, fast_config());
   predictor.train(fx.adversarial, fx.legitimate);
 
-  std::vector<std::vector<double>> stream;
-  for (std::size_t i = 0; i < 10; ++i) stream.push_back(fx.adversarial.row_copy(i));
-  for (std::size_t i = 0; i < 10; ++i) stream.push_back(fx.legitimate.row_copy(i));
-  const auto trace = predictor.reward_trace(stream);
+  ml::Dataset stream;
+  for (std::size_t i = 0; i < 10; ++i) stream.push(fx.adversarial.row_copy(i), 1);
+  for (std::size_t i = 0; i < 10; ++i) stream.push(fx.legitimate.row_copy(i), 0);
+  std::vector<double> trace(stream.size());
+  predictor.feedback_reward_batch(stream.view(), trace);
   ASSERT_EQ(trace.size(), 20u);
+  // The batch critic pass is bitwise the per-row feedback reward.
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(trace[i]),
+              std::bit_cast<std::uint64_t>(
+                  predictor.feedback_reward(stream.row_copy(i))))
+        << "row " << i;
   // First half (adversarial) must sit well above the second half.
   double first = 0.0, second = 0.0;
   for (std::size_t i = 0; i < 10; ++i) first += trace[i];

@@ -21,6 +21,8 @@
 //
 // Every subcommand prints plain tables (telemetry defaults to JSON); exit
 // code 0 on success, 1 on runtime/integrity failures, 2 on usage errors.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -76,17 +78,36 @@ class Args {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  long get_int(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atol(it->second.c_str());
+  /// Every integer flag is a count or a seed, so a sign is malformed too.
+  std::uint64_t get_uint(const std::string& key, std::uint64_t fallback) const {
+    return get_number(key, fallback);
   }
   double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    return get_number(key, fallback);
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  /// The whole value must parse: empty input, trailing text, values out of
+  /// the type's range and non-finite values are usage errors (exit 2),
+  /// never a silent 0.
+  template <typename T>
+  T get_number(const std::string& key, T fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || text.empty() ||
+        !std::isfinite(static_cast<double>(value))) {
+      std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(),
+                   text.c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -94,10 +115,10 @@ void usage(std::FILE* out);
 
 sim::CorpusConfig corpus_config(const Args& args) {
   sim::CorpusConfig cfg;
-  cfg.benign_apps = static_cast<std::size_t>(args.get_int("benign", 150));
-  cfg.malware_apps = static_cast<std::size_t>(args.get_int("malware", 150));
-  cfg.windows_per_app = static_cast<std::size_t>(args.get_int("windows", 5));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  cfg.benign_apps = static_cast<std::size_t>(args.get_uint("benign", 150));
+  cfg.malware_apps = static_cast<std::size_t>(args.get_uint("malware", 150));
+  cfg.windows_per_app = static_cast<std::size_t>(args.get_uint("windows", 5));
+  cfg.seed = static_cast<std::uint64_t>(args.get_uint("seed", 42));
   return cfg;
 }
 
@@ -122,8 +143,8 @@ int cmd_corpus_build(const Args& args) {
   sim::CorpusConfig cfg = corpus_config(args);
   sim::FleetConfig fleet;
   fleet.out_dir = out;
-  fleet.shards = static_cast<std::size_t>(args.get_int("shards", 4));
-  fleet.limit_shards = static_cast<std::size_t>(args.get_int("limit-shards", 0));
+  fleet.shards = static_cast<std::size_t>(args.get_uint("shards", 4));
+  fleet.limit_shards = static_cast<std::size_t>(args.get_uint("limit-shards", 0));
   const std::string profiles = args.get("profiles", "");
   for (std::size_t at = 0; at < profiles.size();) {
     std::size_t comma = profiles.find(',', at);
@@ -227,8 +248,8 @@ int cmd_corpus_dispatch(int argc, char** argv) {
 
 int cmd_features(const Args& args) {
   const std::string in = args.get("in", "corpus.csv");
-  const auto bins = static_cast<std::size_t>(args.get_int("bins", 16));
-  const auto top = static_cast<std::size_t>(args.get_int("top", 10));
+  const auto bins = static_cast<std::size_t>(args.get_uint("bins", 16));
+  const auto top = static_cast<std::size_t>(args.get_uint("top", 10));
   const sim::HpcCorpus corpus = sim::corpus_from_csv(util::read_csv_file(in));
   const ml::Dataset data = sim::corpus_to_dataset(corpus);
   const auto mi = ml::mutual_information(data, bins);
@@ -244,8 +265,8 @@ int cmd_features(const Args& args) {
 
 int cmd_simulate(const Args& args) {
   const std::string family_name = args.get("family", "ransomware");
-  const auto windows = static_cast<std::size_t>(args.get_int("windows", 4));
-  util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
+  const auto windows = static_cast<std::size_t>(args.get_uint("windows", 4));
+  util::Rng rng(static_cast<std::uint64_t>(args.get_uint("seed", 7)));
 
   sim::ProgramFamily family = sim::ProgramFamily::kCount;
   for (std::size_t f = 0; f < sim::kNumProgramFamilies; ++f) {
@@ -311,7 +332,7 @@ void print_pipeline_report(const core::Framework& fw) {
 core::FrameworkConfig pipeline_config(const Args& args) {
   core::FrameworkConfig cfg;
   cfg.corpus = corpus_config(args);
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
+  cfg.seed = static_cast<std::uint64_t>(args.get_uint("seed", 2024));
   if (args.has("mi")) cfg.feature_mode = core::FeatureSelectionMode::kMutualInfo;
   return cfg;
 }
@@ -415,7 +436,7 @@ int cmd_verify(const Args& args) {
 int cmd_attack(const Args& args) {
   core::FrameworkConfig cfg;
   cfg.corpus = corpus_config(args);
-  cfg.attack.max_steps = static_cast<std::size_t>(args.get_int("steps", 150));
+  cfg.attack.max_steps = static_cast<std::size_t>(args.get_uint("steps", 150));
   cfg.attack.confidence_margin = args.get_double("margin", 0.9);
   cfg.attack.lambda = args.get_double("lambda", 0.5);
 
@@ -453,19 +474,19 @@ int cmd_serve(const Args& args) {
 
   const ml::Dataset& rows = fw.test_set();
   serve::ServeConfig scfg;
-  scfg.hosts = static_cast<std::size_t>(args.get_int("hosts", 256));
+  scfg.hosts = static_cast<std::size_t>(args.get_uint("hosts", 256));
   scfg.ring_capacity = 8192;
   scfg.completion_capacity = 256;
-  scfg.max_batch = static_cast<std::size_t>(args.get_int("max-batch", 256));
+  scfg.max_batch = static_cast<std::size_t>(args.get_uint("max-batch", 256));
   scfg.max_wait_us = args.get_double("max-wait-us", 500.0);
-  scfg.workers = static_cast<std::size_t>(args.get_int("workers", 1));
+  scfg.workers = static_cast<std::size_t>(args.get_uint("workers", 1));
   scfg.pin_workers = args.has("pin");
   serve::DetectionServer server(runtime, rows.num_features(), scfg);
 
   serve::LoadGenConfig lcfg;
   lcfg.offered_per_sec = args.get_double("rate", 20000.0);
   lcfg.duration_s = args.get_double("duration", 1.0);
-  lcfg.producers = static_cast<std::size_t>(args.get_int("producers", 1));
+  lcfg.producers = static_cast<std::size_t>(args.get_uint("producers", 1));
   std::fprintf(stderr, "serving %.0f samples/s for %.1fs over %zu hosts...\n",
                lcfg.offered_per_sec, lcfg.duration_s, scfg.hosts);
   const serve::LoadPointReport r =
@@ -511,7 +532,7 @@ int cmd_telemetry(const Args& args) {
 
   core::FrameworkConfig cfg;
   cfg.corpus = corpus_config(args);
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
+  cfg.seed = static_cast<std::uint64_t>(args.get_uint("seed", 2024));
   if (args.has("mi")) cfg.feature_mode = core::FeatureSelectionMode::kMutualInfo;
 
   core::Framework fw(cfg);
@@ -520,9 +541,9 @@ int cmd_telemetry(const Args& args) {
   core::RuntimeConfig rt_cfg;
   rt_cfg.registry = &obs::Telemetry::metrics();
   rt_cfg.retrain_threshold =
-      static_cast<std::size_t>(args.get_int("retrain", 0));
+      static_cast<std::size_t>(args.get_uint("retrain", 0));
   rt_cfg.integrity_check_period =
-      static_cast<std::size_t>(args.get_int("integrity-period", 100));
+      static_cast<std::size_t>(args.get_uint("integrity-period", 100));
   const std::string policy = args.get("policy", "best");
   if (policy == "fast") {
     rt_cfg.policy = rl::ConstraintPolicy::kFastInference;
@@ -534,8 +555,9 @@ int cmd_telemetry(const Args& args) {
     return 2;
   }
 
-  // Drive the deployment loop over the attacked test mixture so per-stage
-  // latency histograms and verdict counters have real traffic behind them.
+  // Drive the deployment loop over the attacked test mixture so the stage
+  // and batch latency tails and verdict counters have real traffic behind
+  // them.
   core::DetectionRuntime runtime(fw, rt_cfg);
   const ml::MetricReport report =
       runtime.process_stream(fw.attacked_test_mix());
