@@ -16,8 +16,10 @@
 //   --max-wait-us U     adaptive batcher age cap
 //   --smoke             one low-load point at reduced scale (CI smoke: the
 //                       run must sustain the load with zero drops)
+// Any other argument exits 2.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -71,6 +73,9 @@ Options parse_options(int argc, char** argv) {
       opt.max_wait_us = parse_number_or_exit<double>("--max-wait-us", v);
     } else if (arg == "--smoke") {
       opt.smoke = true;
+    } else if (value("--threads") == nullptr) {  // read by apply_bench_cli
+      std::fprintf(stderr, "hmdload: unknown argument '%s'\n", arg.c_str());
+      std::exit(2);
     }
   }
   if (opt.smoke) {

@@ -8,7 +8,8 @@
 // The interface is batch-first: predict_proba_batch(BatchView, out) is the
 // hot path, fed zero-copy from columnar storage, and every detector
 // overrides it with a vectorized implementation (the cut-index ForestKernel
-// for RF/DT/GBDT, whole-batch matmul for LR/MLP/NN) that is bit-for-bit
+// for RF/DT/GBDT, a column sweep for LR, block-batched infer_rows for
+// MLP/NN) that is bit-for-bit
 // identical to scoring the rows one at a time.  predict_proba(span) is the
 // single-row compatibility adapter and the oracle the parity tests use.
 #pragma once

@@ -3,14 +3,10 @@
 #include <stdexcept>
 
 #include "ml/data_source.hpp"
-#include "util/arena.hpp"
 
 namespace drlhmd::ml {
 namespace {
 constexpr std::uint8_t kFormatVersion = 1;
-
-// Rows per inference block: keeps per-layer activations cache-resident.
-constexpr std::size_t kBlockRows = 128;
 }
 
 ConvNetClassifier::ConvNetClassifier(ConvNetConfig config) : config_(config) {
@@ -56,36 +52,15 @@ void ConvNetClassifier::fit_stream(const DataSource& train) {
   net.add(std::make_unique<nn::Relu>());
   net.add(std::make_unique<nn::Dense>(config_.fc2, 2, rng));
   net_ = std::move(net);
-
-  std::vector<std::size_t> order(rows.rows());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng.shuffle(order);
-    for (std::size_t start = 0; start < order.size(); start += config_.batch_size) {
-      const std::size_t end = std::min(order.size(), start + config_.batch_size);
-      Matrix batch(end - start, in_features_);
-      std::vector<int> labels(end - start);
-      for (std::size_t i = start; i < end; ++i) {
-        const std::size_t row = order[i];
-        for (std::size_t c = 0; c < in_features_; ++c)
-          batch.at(i - start, c) = rows.at(row, c);
-        labels[i - start] = rows.label(row);
-      }
-      net_.zero_grad();
-      const Matrix logits = net_.forward(batch);
-      const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
-      net_.backward(loss.grad);
-      net_.adam_step(config_.learning_rate);
-    }
-  }
+  nn::fit_classifier(net_, rows, config_.epochs, config_.batch_size,
+                     config_.learning_rate, rng);
 }
 
 double ConvNetClassifier::predict_proba(std::span<const double> features) const {
   if (!trained()) throw std::logic_error("ConvNetClassifier: not trained");
   if (features.size() != in_features_)
     throw std::invalid_argument("ConvNetClassifier: feature width mismatch");
-  const Matrix logits = net_.infer(Matrix::row_vector(features));
-  return nn::softmax(logits).at(0, 1);
+  return nn::class1_proba(net_, features);
 }
 
 void ConvNetClassifier::predict_proba_batch(BatchView batch,
@@ -94,27 +69,7 @@ void ConvNetClassifier::predict_proba_batch(BatchView batch,
   check_batch_out(batch, out);
   if (batch.cols() != in_features_)
     throw std::invalid_argument("ConvNetClassifier: feature width mismatch");
-  if (batch.rows() == 0) return;
-  // Conv1D/Relu/Dense inference and softmax are all row-local, so each
-  // block's forward pass scores row r bitwise identically to a one-row
-  // pass (and to any other block partition).  Scratch comes from the
-  // per-thread arena: zero heap traffic in steady state.
-  util::ArenaScope scope(util::scratch_arena());
-  const std::size_t block = std::min(kBlockRows, batch.rows());
-  auto rows_buf = scope.alloc<double>(block * in_features_);
-  auto probs = scope.alloc<double>(block * 2);
-  for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kBlockRows) {
-    const std::size_t count = std::min(kBlockRows, batch.rows() - r0);
-    for (std::size_t c = 0; c < in_features_; ++c) {
-      const ColumnView colc = batch.col(c);
-      for (std::size_t r = 0; r < count; ++r)
-        rows_buf[r * in_features_ + c] = colc[r0 + r];
-    }
-    net_.infer_rows(rows_buf.data(), count, in_features_, probs.data(),
-                    scope.arena());
-    nn::softmax_rows(probs.data(), count, 2);
-    for (std::size_t r = 0; r < count; ++r) out[r0 + r] = probs[r * 2 + 1];
-  }
+  nn::class1_proba_batch(net_, batch, out);
 }
 
 std::vector<std::uint8_t> ConvNetClassifier::serialize() const {

@@ -33,7 +33,7 @@ class ConvNetClassifier final : public Classifier {
   /// adapter, so streamed and monolithic fits train identical networks.
   void fit_stream(const DataSource& train) override;
   double predict_proba(std::span<const double> features) const override;
-  /// Whole-batch forward pass (conv + dense layers are row-local).
+  /// Block-batched forward pass (nn::class1_proba_batch).
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
   std::string name() const override { return "NN"; }

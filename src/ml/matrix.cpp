@@ -1,11 +1,44 @@
 #include "ml/matrix.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 #include "util/parallel.hpp"
 
 namespace drlhmd::ml {
+namespace {
+
+// Below kParallelMinDim on any dimension the parallel setup costs more than
+// the serial loop (single-sample inference etc.); kGrain is output rows per
+// chunk.
+constexpr std::size_t kParallelMinDim = 8;
+constexpr std::size_t kGrain = 16;
+
+}  // namespace
+
+void matmul_rows(const double* a, std::size_t rows, std::size_t depth,
+                 const double* b, std::size_t n, double* out) {
+  std::fill(out, out + rows * n, 0.0);
+  // The zero test sits on a(i, k) once per B row, leaving the contiguous j
+  // sweep free to vectorize.
+  auto row_product = [&](std::size_t i) {
+    const double* arow = a + i * depth;
+    double* orow = out + i * n;
+    for (std::size_t k = 0; k < depth; ++k) {
+      const double aik = arow[k];
+      if (aik == 0.0) continue;
+      const double* brow = b + k * n;
+      for (std::size_t j = 0; j < n; ++j) orow[j] += aik * brow[j];
+    }
+  };
+  if (rows < kParallelMinDim || depth < kParallelMinDim ||
+      n < kParallelMinDim) {
+    for (std::size_t i = 0; i < rows; ++i) row_product(i);
+  } else {
+    util::parallel_for("matrix.matmul", 0, rows, kGrain, row_product);
+  }
+}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
@@ -46,41 +79,8 @@ Matrix Matrix::matmul(const Matrix& other) const {
   if (cols_ != other.rows_)
     throw std::invalid_argument("Matrix::matmul: inner dimension mismatch");
   Matrix out(rows_, other.cols_);
-  if (rows_ < kMatmulPackedMinDim || cols_ < kMatmulPackedMinDim ||
-      other.cols_ < kMatmulPackedMinDim) {
-    // Tiny product (single-sample inference etc.): skip the packing setup.
-    for (std::size_t i = 0; i < rows_; ++i) {
-      for (std::size_t k = 0; k < cols_; ++k) {
-        const double a = at(i, k);
-        if (a == 0.0) continue;
-        const double* brow = other.data_.data() + k * other.cols_;
-        double* orow = out.data_.data() + i * other.cols_;
-        for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += a * brow[j];
-      }
-    }
-    return out;
-  }
-  // Large product: the same i-outer / k-middle / j-inner loop as above —
-  // each out(i, j) accumulates a(i, k) * b(k, j) over ascending k with the
-  // same whole-row zero-skip, so results are bitwise identical to the tiny
-  // path — parallelized over output rows.  The zero test sits on a(i, k)
-  // once per B row, leaving the contiguous j sweep free to vectorize; rows
-  // write only their own out slots, so the result is thread-count
-  // invariant.
-  const std::size_t n = other.cols_;
-  const std::size_t depth = cols_;
-  util::parallel_for("matrix.matmul", 0, rows_, kMatmulGrain,
-                     [&](std::size_t i) {
-                       const double* arow = data_.data() + i * depth;
-                       double* orow = out.data_.data() + i * n;
-                       for (std::size_t k = 0; k < depth; ++k) {
-                         const double a = arow[k];
-                         if (a == 0.0) continue;
-                         const double* brow = other.data_.data() + k * n;
-                         for (std::size_t j = 0; j < n; ++j)
-                           orow[j] += a * brow[j];
-                       }
-                     });
+  matmul_rows(data_.data(), rows_, cols_, other.data_.data(), other.cols_,
+              out.data_.data());
   return out;
 }
 
@@ -164,14 +164,6 @@ Matrix Matrix::hadamard(const Matrix& other) const {
   Matrix out = *this;
   for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] *= other.data_[i];
   return out;
-}
-
-Matrix& Matrix::add_row_broadcast(const Matrix& row_vec) {
-  if (row_vec.rows_ != 1 || row_vec.cols_ != cols_)
-    throw std::invalid_argument("Matrix::add_row_broadcast: need 1 x cols vector");
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) at(r, c) += row_vec.at(0, c);
-  return *this;
 }
 
 Matrix Matrix::column_sums() const {

@@ -12,12 +12,13 @@
 
 namespace drlhmd::ml {
 
-/// matmul tuning constants, shared with the raw-buffer nn inference path
-/// (which must replicate matmul's loop structure to stay bitwise-identical).
-/// Below kMatmulPackedMinDim on any dimension the parallel setup costs more
-/// than the classic serial loop; kMatmulGrain is output rows per chunk.
-inline constexpr std::size_t kMatmulPackedMinDim = 8;
-inline constexpr std::size_t kMatmulGrain = 16;
+/// out (rows x n) = a (rows x depth) * b (depth x n), all row-major raw
+/// buffers, `out` distinct from both inputs.  The one i-k-j product loop:
+/// each out(i, j) starts at 0.0 and accumulates a(i, k) * b(k, j) over
+/// ascending k, skipping k where a(i, k) == 0.0.  Rows write only their own
+/// output, so the result is bitwise independent of the pool width.
+void matmul_rows(const double* a, std::size_t rows, std::size_t depth,
+                 const double* b, std::size_t n, double* out);
 
 class Matrix {
  public:
@@ -49,7 +50,8 @@ class Matrix {
   std::span<double> flat() { return data_; }
   std::span<const double> flat() const { return data_; }
 
-  /// this (m x k) * other (k x n) -> (m x n). Throws on shape mismatch.
+  /// this (m x k) * other (k x n) -> (m x n) via matmul_rows. Throws on
+  /// shape mismatch.
   Matrix matmul(const Matrix& other) const;
   /// this^T * other, without materializing the transpose.
   Matrix transpose_matmul(const Matrix& other) const;
@@ -66,9 +68,6 @@ class Matrix {
 
   /// Elementwise product.
   Matrix hadamard(const Matrix& other) const;
-
-  /// Add a 1 x cols row vector to every row.
-  Matrix& add_row_broadcast(const Matrix& row_vec);
 
   /// Sum over rows -> 1 x cols.
   Matrix column_sums() const;

@@ -26,7 +26,7 @@ class MlpClassifier final : public Classifier {
   /// adapter, so streamed and monolithic fits train identical networks.
   void fit_stream(const DataSource& train) override;
   double predict_proba(std::span<const double> features) const override;
-  /// Whole-batch forward pass (one matmul per layer instead of N).
+  /// Block-batched forward pass (nn::class1_proba_batch).
   void predict_proba_batch(BatchView batch, std::span<double> out) const override;
   using Classifier::predict_proba_batch;
   std::string name() const override { return "MLP"; }
@@ -40,7 +40,7 @@ class MlpClassifier final : public Classifier {
 
  private:
   MlpConfig config_;
-  nn::Network net_;  // const paths use infer(), so no mutable needed
+  nn::Network net_;  // const paths use infer_rows(), so no mutable needed
   std::size_t in_features_ = 0;
 };
 

@@ -4,12 +4,16 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/parallel.hpp"
+#include "ml/data_source.hpp"
 
 namespace drlhmd::ml::nn {
 namespace {
 
 constexpr std::uint8_t kFormatVersion = 1;
+
+// Rows per class1_proba_batch block: keeps per-layer activations
+// cache-resident instead of streaming whole-batch intermediates.
+constexpr std::size_t kBlockRows = 128;
 
 void write_matrix(util::ByteWriter& w, const Matrix& m) {
   w.write_u64(m.rows());
@@ -51,6 +55,14 @@ void adam_update(Matrix& param, Matrix& grad, Matrix& m, Matrix& v, double lr,
 
 }  // namespace
 
+Matrix Layer::forward(const Matrix& input) {
+  Matrix out(input.rows(), infer_out_cols(input.cols()));
+  input_cache_ = input;
+  infer_rows(input.flat().data(), input.rows(), input.cols(),
+             out.flat().data());
+  return out;
+}
+
 void Layer::adam_step(double, double, double, double, std::uint64_t) {}
 
 // ---------------------------------------------------------------- Dense --
@@ -66,17 +78,6 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, util::Rng& rng) 
   grad_b_ = Matrix(1, out_features);
 }
 
-Matrix Dense::forward(const Matrix& input) {
-  input_cache_ = input;
-  return infer(input);
-}
-
-Matrix Dense::infer(const Matrix& input) const {
-  Matrix out = input.matmul(w_);
-  out.add_row_broadcast(b_);
-  return out;
-}
-
 std::size_t Dense::infer_out_cols(std::size_t in_cols) const {
   if (in_cols != w_.rows())
     throw std::invalid_argument("Dense::infer_rows: input width mismatch");
@@ -85,30 +86,8 @@ std::size_t Dense::infer_out_cols(std::size_t in_cols) const {
 
 void Dense::infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
                        double* out) const {
-  // Mirrors infer() == input.matmul(w_) + add_row_broadcast(b_): same
-  // zero-init, i-outer/k-middle/j-inner accumulation with the whole-row
-  // zero skip, same tiny/parallel split, then a separate bias pass — so
-  // outputs are bitwise identical to the Matrix path.
   const std::size_t n = infer_out_cols(in_cols);
-  const std::size_t depth = in_cols;
-  std::fill(out, out + rows * n, 0.0);
-  const double* wdata = w_.flat().data();
-  auto row_product = [&](std::size_t i) {
-    const double* arow = in + i * depth;
-    double* orow = out + i * n;
-    for (std::size_t k = 0; k < depth; ++k) {
-      const double a = arow[k];
-      if (a == 0.0) continue;
-      const double* brow = wdata + k * n;
-      for (std::size_t j = 0; j < n; ++j) orow[j] += a * brow[j];
-    }
-  };
-  if (rows < kMatmulPackedMinDim || depth < kMatmulPackedMinDim ||
-      n < kMatmulPackedMinDim) {
-    for (std::size_t i = 0; i < rows; ++i) row_product(i);
-  } else {
-    util::parallel_for("matrix.matmul", 0, rows, kMatmulGrain, row_product);
-  }
+  matmul_rows(in, rows, in_cols, w_.flat().data(), n, out);
   const double* bias = b_.flat().data();
   for (std::size_t i = 0; i < rows; ++i) {
     double* orow = out + i * n;
@@ -161,17 +140,6 @@ std::unique_ptr<Dense> Dense::deserialize(util::ByteReader& r) {
 
 // ----------------------------------------------------------------- Relu --
 
-Matrix Relu::forward(const Matrix& input) {
-  input_cache_ = input;
-  return infer(input);
-}
-
-Matrix Relu::infer(const Matrix& input) const {
-  Matrix out = input;
-  for (auto& v : out.flat()) v = v > 0.0 ? v : 0.0;
-  return out;
-}
-
 void Relu::infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
                       double* out) const {
   const std::size_t total = rows * in_cols;
@@ -213,32 +181,6 @@ Conv1D::Conv1D(std::size_t in_channels, std::size_t out_channels,
   grad_b_ = Matrix(b_.rows(), b_.cols());
 }
 
-Matrix Conv1D::forward(const Matrix& input) {
-  if (input.cols() != in_channels_ * length_)
-    throw std::invalid_argument("Conv1D::forward: input width mismatch");
-  input_cache_ = input;
-  return infer(input);
-}
-
-Matrix Conv1D::infer(const Matrix& input) const {
-  if (input.cols() != in_channels_ * length_)
-    throw std::invalid_argument("Conv1D::forward: input width mismatch");
-  const std::size_t out_len = out_length();
-  Matrix out(input.rows(), out_channels_ * out_len);
-  for (std::size_t n = 0; n < input.rows(); ++n) {
-    for (std::size_t o = 0; o < out_channels_; ++o) {
-      for (std::size_t p = 0; p < out_len; ++p) {
-        double acc = b_.at(0, o);
-        for (std::size_t i = 0; i < in_channels_; ++i)
-          for (std::size_t k = 0; k < kernel_; ++k)
-            acc += w_.at(o, i * kernel_ + k) * input.at(n, i * length_ + p + k);
-        out.at(n, o * out_len + p) = acc;
-      }
-    }
-  }
-  return out;
-}
-
 std::size_t Conv1D::infer_out_cols(std::size_t in_cols) const {
   if (in_cols != in_channels_ * length_)
     throw std::invalid_argument("Conv1D::forward: input width mismatch");
@@ -247,7 +189,6 @@ std::size_t Conv1D::infer_out_cols(std::size_t in_cols) const {
 
 void Conv1D::infer_rows(const double* in, std::size_t rows,
                         std::size_t in_cols, double* out) const {
-  // Same n/o/p loop nest and i/k accumulation order as infer().
   const std::size_t width = infer_out_cols(in_cols);
   const std::size_t out_len = out_length();
   for (std::size_t n = 0; n < rows; ++n) {
@@ -359,12 +300,6 @@ Matrix Network::forward(const Matrix& input) {
   return x;
 }
 
-Matrix Network::infer(const Matrix& input) const {
-  Matrix x = input;
-  for (const auto& layer : layers_) x = layer->infer(x);
-  return x;
-}
-
 std::size_t Network::infer_out_cols(std::size_t in_cols) const {
   std::size_t cols = in_cols;
   for (const auto& layer : layers_) cols = layer->infer_out_cols(cols);
@@ -464,17 +399,7 @@ Network Network::deserialize(std::span<const std::uint8_t> bytes) {
 
 Matrix softmax(const Matrix& logits) {
   Matrix out = logits;
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    auto row = out.row(r);
-    double max_logit = row[0];
-    for (double v : row) max_logit = std::max(max_logit, v);
-    double total = 0.0;
-    for (auto& v : row) {
-      v = std::exp(v - max_logit);
-      total += v;
-    }
-    for (auto& v : row) v /= total;
-  }
+  softmax_rows(out.flat().data(), out.rows(), out.cols());
   return out;
 }
 
@@ -490,6 +415,62 @@ void softmax_rows(double* data, std::size_t rows, std::size_t cols) {
       total += row[c];
     }
     for (std::size_t c = 0; c < cols; ++c) row[c] /= total;
+  }
+}
+
+double class1_proba(const Network& net, std::span<const double> row) {
+  util::ArenaScope scope(util::scratch_arena());
+  auto logits = scope.alloc<double>(2);
+  net.infer_rows(row.data(), 1, row.size(), logits.data(), scope.arena());
+  softmax_rows(logits.data(), 1, 2);
+  return logits[1];
+}
+
+void class1_proba_batch(const Network& net, BatchView batch,
+                        std::span<double> out) {
+  if (batch.rows() == 0) return;
+  util::ArenaScope scope(util::scratch_arena());
+  const std::size_t cols = batch.cols();
+  const std::size_t block = std::min(kBlockRows, batch.rows());
+  auto rows_buf = scope.alloc<double>(block * cols);
+  auto probs = scope.alloc<double>(block * 2);
+  for (std::size_t r0 = 0; r0 < batch.rows(); r0 += kBlockRows) {
+    const std::size_t count = std::min(kBlockRows, batch.rows() - r0);
+    for (std::size_t c = 0; c < cols; ++c) {
+      const ColumnView colc = batch.col(c);
+      for (std::size_t r = 0; r < count; ++r)
+        rows_buf[r * cols + c] = colc[r0 + r];
+    }
+    net.infer_rows(rows_buf.data(), count, cols, probs.data(), scope.arena());
+    softmax_rows(probs.data(), count, 2);
+    for (std::size_t r = 0; r < count; ++r) out[r0 + r] = probs[r * 2 + 1];
+  }
+}
+
+void fit_classifier(Network& net, const RowLocator& rows, std::size_t epochs,
+                    std::size_t batch_size, double learning_rate,
+                    util::Rng& rng) {
+  const std::size_t cols = rows.num_features();
+  std::vector<std::size_t> order(rows.rows());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+    rng.shuffle(order);
+    for (std::size_t start = 0; start < order.size(); start += batch_size) {
+      const std::size_t end = std::min(order.size(), start + batch_size);
+      Matrix batch(end - start, cols);
+      std::vector<int> labels(end - start);
+      for (std::size_t i = start; i < end; ++i) {
+        const std::size_t row = order[i];
+        for (std::size_t c = 0; c < cols; ++c)
+          batch.at(i - start, c) = rows.at(row, c);
+        labels[i - start] = rows.label(row);
+      }
+      net.zero_grad();
+      const Matrix logits = net.forward(batch);
+      const LossResult loss = softmax_cross_entropy(logits, labels);
+      net.backward(loss.grad);
+      net.adam_step(learning_rate);
+    }
   }
 }
 

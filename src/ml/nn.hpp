@@ -4,8 +4,11 @@
 //   * ConvNetClassifier    (paper's "NN": 2 conv + 3 FC layers),
 //   * rl::A2C              (actor and critic, 4 hidden layers each).
 //
-// Layers operate on row-major Matrix batches; backward() consumes dLoss/dOut
-// and returns dLoss/dIn while accumulating parameter gradients internally.
+// Each layer has one forward implementation, infer_rows() over raw
+// row-major buffers.  Training forward(), one-row predict and batch predict
+// all run it, so every path computes the same bits by construction.
+// backward() consumes dLoss/dOut on Matrix batches and returns dLoss/dIn
+// while accumulating parameter gradients internally.
 #pragma once
 
 #include <cstdint>
@@ -13,9 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "ml/feature_matrix.hpp"
 #include "ml/matrix.hpp"
 #include "util/arena.hpp"
 #include "util/serialize.hpp"
+
+namespace drlhmd::ml {
+class RowLocator;
+}
 
 namespace drlhmd::ml::nn {
 
@@ -23,19 +31,15 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  virtual Matrix forward(const Matrix& input) = 0;
-  /// Forward pass without touching the backprop caches: const, so it is
-  /// safe to call concurrently from parallel batch-inference workers.
-  /// Bitwise-identical outputs to forward().
-  virtual Matrix infer(const Matrix& input) const = 0;
+  /// Training forward: keeps `input` for backward(), then runs infer_rows.
+  Matrix forward(const Matrix& input);
   /// Output width for an input of `in_cols` columns; throws when the layer
   /// cannot accept that width.
   virtual std::size_t infer_out_cols(std::size_t in_cols) const = 0;
-  /// Allocation-free forward over raw row-major buffers: reads
+  /// The layer's forward pass, over raw row-major buffers: reads
   /// rows x in_cols from `in`, writes rows x infer_out_cols(in_cols) to
-  /// `out` (distinct buffers).  Bitwise-identical to infer() — same loop
-  /// structure and accumulation order — so the zero-copy batch path can
-  /// replace the Matrix path without perturbing results.
+  /// `out` (distinct buffers).  Const and allocation-free, so parallel
+  /// batch-inference workers may call it concurrently.
   virtual void infer_rows(const double* in, std::size_t rows,
                           std::size_t in_cols, double* out) const = 0;
   virtual Matrix backward(const Matrix& grad_output) = 0;
@@ -49,6 +53,9 @@ class Layer {
   virtual std::string kind() const = 0;
   virtual std::unique_ptr<Layer> clone() const = 0;
   virtual void serialize(util::ByteWriter& w) const = 0;
+
+ protected:
+  Matrix input_cache_;  // forward()'s input, read by backward()
 };
 
 /// Fully connected layer: out = in * W + b.
@@ -56,8 +63,6 @@ class Dense final : public Layer {
  public:
   Dense(std::size_t in_features, std::size_t out_features, util::Rng& rng);
 
-  Matrix forward(const Matrix& input) override;
-  Matrix infer(const Matrix& input) const override;
   std::size_t infer_out_cols(std::size_t in_cols) const override;
   void infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
                   double* out) const override;
@@ -80,14 +85,11 @@ class Dense final : public Layer {
   Matrix w_, b_;
   Matrix grad_w_, grad_b_;
   Matrix m_w_, v_w_, m_b_, v_b_;  // Adam moments
-  Matrix input_cache_;
 };
 
 /// Elementwise rectifier.
 class Relu final : public Layer {
  public:
-  Matrix forward(const Matrix& input) override;
-  Matrix infer(const Matrix& input) const override;
   std::size_t infer_out_cols(std::size_t in_cols) const override {
     return in_cols;
   }
@@ -97,9 +99,6 @@ class Relu final : public Layer {
   std::string kind() const override { return "relu"; }
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Relu>(); }
   void serialize(util::ByteWriter& w) const override;
-
- private:
-  Matrix input_cache_;
 };
 
 /// 1-D "valid" convolution over a channel-major flattened signal.
@@ -110,8 +109,6 @@ class Conv1D final : public Layer {
   Conv1D(std::size_t in_channels, std::size_t out_channels, std::size_t length,
          std::size_t kernel, util::Rng& rng);
 
-  Matrix forward(const Matrix& input) override;
-  Matrix infer(const Matrix& input) const override;
   std::size_t infer_out_cols(std::size_t in_cols) const override;
   void infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
                   double* out) const override;
@@ -141,7 +138,6 @@ class Conv1D final : public Layer {
   Matrix w_;  // (out_channels, in_channels * kernel)
   Matrix b_;  // (1, out_channels)
   Matrix grad_w_, grad_b_, m_w_, v_w_, m_b_, v_b_;
-  Matrix input_cache_;
 };
 
 /// Layer pipeline with a shared Adam clock.
@@ -155,15 +151,13 @@ class Network {
 
   void add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
 
+  /// Training forward: every layer keeps its input for backward().
   Matrix forward(const Matrix& input);
-  /// Cache-free const forward for (possibly concurrent) inference;
-  /// bitwise-identical to forward().
-  Matrix infer(const Matrix& input) const;
   /// Output width of the full chain for an input of `in_cols` columns.
   std::size_t infer_out_cols(std::size_t in_cols) const;
-  /// Allocation-free forward over raw row-major buffers; the inter-layer
-  /// ping-pong scratch comes from `arena` (scope-bounded, rewound before
-  /// returning).  Bitwise-identical to infer().
+  /// Const, allocation-free forward over raw row-major buffers; the
+  /// inter-layer ping-pong scratch comes from `arena` (scope-bounded,
+  /// rewound before returning).  Bitwise-identical to forward().
   void infer_rows(const double* in, std::size_t rows, std::size_t in_cols,
                   double* out, util::Arena& arena) const;
   /// Backprop from dLoss/dOutput; returns dLoss/dInput.
@@ -185,12 +179,31 @@ class Network {
   std::uint64_t step_ = 0;
 };
 
-/// Row-wise softmax.
+/// Row-wise softmax: a copy of `logits` through softmax_rows.
 Matrix softmax(const Matrix& logits);
 
-/// In-place row-wise softmax over a raw row-major buffer;
-/// bitwise-identical to softmax().
+/// In-place row-wise softmax over a raw row-major buffer.
 void softmax_rows(double* data, std::size_t rows, std::size_t cols);
+
+/// Scoring for a 2-way softmax head (MlpClassifier, ConvNetClassifier):
+/// P(class 1) for one row, as a one-row infer_rows over the caller's span.
+/// Scratch comes from the thread's arena, so steady-state calls do not
+/// touch the heap.
+double class1_proba(const Network& net, std::span<const double> row);
+
+/// class1_proba() for every row of a columnar batch: rows are gathered
+/// into arena scratch 128 at a time, then run through infer_rows and
+/// softmax_rows.  Every layer is row-local, so each result is bitwise
+/// class1_proba() of that row, whatever the block partition.
+void class1_proba_batch(const Network& net, BatchView batch,
+                        std::span<double> out);
+
+/// Minibatch Adam on softmax cross-entropy.  Each epoch shuffles the row
+/// order with `rng`; each minibatch of `batch_size` rows is gathered from
+/// `rows`, then runs forward, backward and one Adam step.
+void fit_classifier(Network& net, const RowLocator& rows, std::size_t epochs,
+                    std::size_t batch_size, double learning_rate,
+                    util::Rng& rng);
 
 struct LossResult {
   double loss = 0.0;

@@ -26,9 +26,11 @@ A2C::A2C(std::size_t observation_size, std::size_t action_count, A2CConfig confi
 std::vector<double> A2C::policy(std::span<const double> observation) const {
   if (observation.size() != obs_size_)
     throw std::invalid_argument("A2C::policy: observation width mismatch");
-  const Matrix logits = actor_.infer(Matrix::row_vector(observation));
-  const Matrix probs = ml::nn::softmax(logits);
-  return {probs.row(0).begin(), probs.row(0).end()};
+  std::vector<double> probs(n_actions_);
+  actor_.infer_rows(observation.data(), 1, obs_size_, probs.data(),
+                    util::scratch_arena());
+  ml::nn::softmax_rows(probs.data(), 1, n_actions_);
+  return probs;
 }
 
 std::size_t A2C::act(std::span<const double> observation, util::Rng& rng) const {
@@ -47,7 +49,10 @@ std::size_t A2C::act_greedy(std::span<const double> observation) const {
 double A2C::value(std::span<const double> observation) const {
   if (observation.size() != obs_size_)
     throw std::invalid_argument("A2C::value: observation width mismatch");
-  return critic_.infer(Matrix::row_vector(observation)).at(0, 0);
+  double v = 0.0;
+  critic_.infer_rows(observation.data(), 1, obs_size_, &v,
+                     util::scratch_arena());
+  return v;
 }
 
 void A2C::value_batch(ml::BatchView batch, std::span<double> out) const {
@@ -57,7 +62,7 @@ void A2C::value_batch(ml::BatchView batch, std::span<double> out) const {
     throw std::invalid_argument("A2C::value_batch: out size mismatch");
   if (batch.rows() == 0) return;
   // Gather + forward run out of the per-thread arena (zero heap traffic);
-  // infer_rows is bitwise-identical to the Matrix infer() path.
+  // the critic's layers are row-local, so each row scores as value() does.
   util::ArenaScope scope(util::scratch_arena());
   auto rows = scope.alloc<double>(batch.rows() * obs_size_);
   for (std::size_t c = 0; c < obs_size_; ++c) {

@@ -318,7 +318,9 @@ void run_chunks(const char* label, std::size_t n_chunks, ChunkFnRef chunk_fn) {
   if (n_chunks == 0) return;
   ThreadPool& pool = ThreadPool::instance();
   const std::size_t threads = pool.size();
-  ObserverScope scope(label, n_chunks, threads);
+  // A one-chunk region has no fork or join to draw, and its caller's own
+  // timing already covers it, so it is not observed.
+  ObserverScope scope(n_chunks > 1 ? label : nullptr, n_chunks, threads);
 
   // Per-chunk timing only when an observer accepted the region; otherwise
   // the hot path runs the caller's functor directly with zero wrapping.

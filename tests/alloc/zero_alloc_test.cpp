@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -155,6 +156,44 @@ TEST_F(ZeroAllocFixture, SteadyStateProcessBatchDoesNotAllocate) {
                           << width;
   }
   util::set_parallel_threads(saved_threads);
+}
+
+TEST_F(ZeroAllocFixture, SteadyStateRowPredictDoesNotAllocate) {
+  // One-row predict on the neural detectors and the predictor's critic is
+  // a one-row infer_rows over the caller's span with arena scratch: what
+  // model profiling and controller training call once per sample.
+  std::vector<const ml::Classifier*> neural;
+  for (const auto& model : framework_->defended_models())
+    if (model->name() == "MLP" || model->name() == "NN")
+      neural.push_back(model.get());
+  ASSERT_EQ(neural.size(), 2u);
+  const rl::AdversarialPredictor& predictor = framework_->predictor();
+  const std::vector<double> row = probe_->row_copy(0);
+
+  const std::size_t saved_threads = util::parallel_thread_count();
+  double sink = 0.0;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2}}) {
+    util::set_parallel_threads(width);
+    auto run = [&](int calls) {
+      for (int i = 0; i < calls; ++i) {
+        for (const ml::Classifier* model : neural)
+          sink += model->predict_proba(row);
+        sink += predictor.feedback_reward(row);
+      }
+    };
+    run(5);  // warm-up: this thread's arena grows to high water
+
+    g_allocs.store(0);
+    g_armed.store(true);
+    run(100);
+    g_armed.store(false);
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "heap allocations in steady-state row predict at "
+           "DRLHMD_THREADS="
+        << width;
+  }
+  util::set_parallel_threads(saved_threads);
+  EXPECT_TRUE(std::isfinite(sink));
 }
 
 TEST_F(ZeroAllocFixture, SteadyStateServingDrainLoopDoesNotAllocate) {

@@ -161,6 +161,42 @@ TEST_F(TelemetrySweep, DisabledTelemetryObservesNoRegions) {
             nullptr);
 }
 
+TEST_F(TelemetrySweep, OneRowProcessOpensNoObservedRegion) {
+  // A one-row process() scores one pipeline chunk: nothing forks, so the
+  // parallel bridge records no region, span or chunk for it, and the
+  // runtime's own batch tail still times every call.
+  core::FrameworkConfig cfg;
+  cfg.corpus.benign_apps = 30;
+  cfg.corpus.malware_apps = 30;
+  cfg.corpus.windows_per_app = 3;
+  core::Framework fw(cfg);
+  fw.run_all();
+  core::RuntimeConfig rcfg;
+  rcfg.retrain_threshold = 0;
+  rcfg.integrity_check_period = 0;
+
+  util::set_parallel_threads(2);
+  obs::Telemetry::reset();
+  obs::Telemetry::set_enabled(true);
+  core::DetectionRuntime runtime(fw, rcfg);
+  const ml::Dataset& test = fw.test_set();
+  ASSERT_GE(test.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) runtime.process(test.row_copy(i));
+  obs::Telemetry::set_enabled(false);
+
+  const obs::MetricsSnapshot global = obs::Telemetry::metrics().snapshot();
+  EXPECT_EQ(global.find_counter("drlhmd.parallel.regions",
+                                {{"label", "runtime.batch_score"}}),
+            nullptr);
+  for (const auto& ev : obs::Telemetry::tracer().events())
+    EXPECT_NE(ev.name, "parallel.runtime.batch_score");
+  const obs::MetricsSnapshot local = runtime.metrics().snapshot();
+  const obs::TailSample* batch_tail =
+      local.find_tail("drlhmd.runtime.batch_tail_us", {});
+  ASSERT_NE(batch_tail, nullptr);
+  EXPECT_EQ(batch_tail->data.count, 10u);
+}
+
 TEST_F(TelemetrySweep, RuntimeResultsIndependentOfTelemetryAndWidth) {
   core::FrameworkConfig cfg;
   cfg.corpus.benign_apps = 30;

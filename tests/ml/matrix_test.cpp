@@ -108,16 +108,6 @@ TEST(MatrixTest, Hadamard) {
   EXPECT_EQ(h(0, 1), 15.0);
 }
 
-TEST(MatrixTest, AddRowBroadcast) {
-  Matrix m = Matrix::from_rows({{1, 1}, {2, 2}});
-  const Matrix bias = Matrix::from_rows({{10, 20}});
-  m.add_row_broadcast(bias);
-  EXPECT_EQ(m(0, 1), 21.0);
-  EXPECT_EQ(m(1, 0), 12.0);
-  const Matrix wrong(2, 2);
-  EXPECT_THROW(m.add_row_broadcast(wrong), std::invalid_argument);
-}
-
 TEST(MatrixTest, ColumnSums) {
   const Matrix m = Matrix::from_rows({{1, 2}, {3, 4}});
   const Matrix s = m.column_sums();

@@ -20,7 +20,9 @@
 //   hmdctl verify   --dir ckpt
 //
 // Every subcommand prints plain tables (telemetry defaults to JSON); exit
-// code 0 on success, 1 on runtime/integrity failures, 2 on usage errors.
+// code 0 on success, 1 on runtime/integrity failures, 2 on usage errors
+// (a flag the command does not take, or a malformed value).
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -55,7 +57,10 @@ namespace {
 
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  /// Parses argv[first..] as flags of `command`; a flag outside `flags`
+  /// is a usage error (exit 2).
+  Args(int argc, char** argv, int first, const std::string& command,
+       const std::vector<std::string>& flags) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
@@ -64,13 +69,19 @@ class Args {
       }
       key = key.substr(2);
       // Both spellings work: `--key value` and `--key=value`.
+      std::string value = "true";  // boolean flag
       if (const std::size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
+        value = key.substr(eq + 1);
+        key.resize(eq);
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";  // boolean flag
+        value = argv[++i];
       }
+      if (std::find(flags.begin(), flags.end(), key) == flags.end()) {
+        std::fprintf(stderr, "hmdctl %s: unknown flag --%s\n",
+                     command.c_str(), key.c_str());
+        std::exit(2);
+      }
+      values_[key] = value;
     }
   }
 
@@ -112,6 +123,18 @@ class Args {
 };
 
 void usage(std::FILE* out);
+
+// The flags each command reads, its helpers' included.
+const std::vector<std::string> kCorpusFlags = {"benign", "malware", "windows",
+                                               "seed"};
+const std::vector<std::string> kPipelineFlags = {"benign", "malware",
+                                                 "windows", "seed", "mi"};
+
+std::vector<std::string> with(std::vector<std::string> flags,
+                              std::initializer_list<const char*> more) {
+  flags.insert(flags.end(), more.begin(), more.end());
+  return flags;
+}
 
 sim::CorpusConfig corpus_config(const Args& args) {
   sim::CorpusConfig cfg;
@@ -228,9 +251,13 @@ int cmd_corpus_merge(const std::string& dir, const Args& args) {
 /// --flags` keeps its original meaning (one in-RAM corpus to CSV).
 int cmd_corpus_dispatch(int argc, char** argv) {
   const std::string sub = argc >= 3 ? argv[2] : "";
-  if (sub.empty() || sub.rfind("--", 0) == 0)
-    return cmd_corpus(Args(argc, argv, 2));  // legacy CSV build
-  if (sub == "build") return cmd_corpus_build(Args(argc, argv, 3));
+  if (sub.empty() || sub.rfind("--", 0) == 0)  // legacy CSV build
+    return cmd_corpus(
+        Args(argc, argv, 2, "corpus", with(kCorpusFlags, {"out"})));
+  if (sub == "build")
+    return cmd_corpus_build(Args(
+        argc, argv, 3, "corpus build",
+        with(kCorpusFlags, {"out", "shards", "limit-shards", "profiles"})));
   if (sub == "info" || sub == "merge") {
     if (argc < 4 || std::string(argv[3]).rfind("--", 0) == 0) {
       std::fprintf(stderr, "corpus %s: a shard directory is required\n",
@@ -238,8 +265,11 @@ int cmd_corpus_dispatch(int argc, char** argv) {
       return 2;
     }
     const std::string dir = argv[3];
-    return sub == "info" ? cmd_corpus_info(dir)
-                         : cmd_corpus_merge(dir, Args(argc, argv, 4));
+    if (sub == "info") {
+      Args(argc, argv, 4, "corpus info", {});  // takes no flags
+      return cmd_corpus_info(dir);
+    }
+    return cmd_corpus_merge(dir, Args(argc, argv, 4, "corpus merge", {"out"}));
   }
   std::fprintf(stderr, "hmdctl corpus: unknown subcommand '%s'\n", sub.c_str());
   usage(stderr);
@@ -755,16 +785,30 @@ int main(int argc, char** argv) {
     // corpus takes positional subcommands (build|info|merge), so it is
     // dispatched before the flags-only Args parse below.
     if (command == "corpus") return cmd_corpus_dispatch(argc, argv);
-    const Args args(argc, argv, 2);
-    if (command == "features") return cmd_features(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "pipeline") return cmd_pipeline(args);
-    if (command == "attack") return cmd_attack(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "telemetry") return cmd_telemetry(args);
-    if (command == "save") return cmd_save(args);
-    if (command == "resume") return cmd_resume(args);
-    if (command == "verify") return cmd_verify(args);
+    const struct {
+      const char* name;
+      int (*run)(const Args&);
+      std::vector<std::string> flags;
+    } commands[] = {
+        {"features", cmd_features, {"in", "bins", "top"}},
+        {"simulate", cmd_simulate, {"family", "windows", "seed"}},
+        {"pipeline", cmd_pipeline, kPipelineFlags},
+        {"attack", cmd_attack,
+         with(kCorpusFlags, {"steps", "margin", "lambda"})},
+        {"serve", cmd_serve,
+         with(kPipelineFlags, {"hosts", "max-batch", "max-wait-us", "workers",
+                               "pin", "rate", "duration", "producers"})},
+        {"telemetry", cmd_telemetry,
+         with(kPipelineFlags,
+              {"log-level", "log", "retrain", "integrity-period", "policy",
+               "chrome-trace", "prom", "format"})},
+        {"save", cmd_save, with(kPipelineFlags, {"dir"})},
+        {"resume", cmd_resume, {"dir"}},
+        {"verify", cmd_verify, {"dir"}},
+    };
+    for (const auto& cmd : commands)
+      if (command == cmd.name)
+        return cmd.run(Args(argc, argv, 2, command, cmd.flags));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hmdctl %s: %s\n", command.c_str(), e.what());
     return 1;
