@@ -24,8 +24,7 @@
 //
 // Derived state is recomputed instead of persisted: feature bounds come
 // from the restored train split, and the LowProFool attacker is rebuilt
-// from the restored surrogate + config (all deterministic).  raw_all_ (the
-// pre-split engineered dataset) feeds nothing downstream and is not saved.
+// from the restored surrogate + config (all deterministic).
 //
 // Scope note: the nested simulator configs (CorpusConfig.monitor /
 // .hierarchy / .core) only shape acquire_data, whose output corpus is

@@ -130,7 +130,6 @@ void Framework::engineer_features() {
 
   // Cleaning (drop non-finite rows, winsorize counter glitches).
   raw = ml::clean(raw);
-  raw_all_ = raw;
 
   // Paper protocol: 80:20 train/test, then 80:20 train/val — split before
   // fitting anything so no statistic leaks from test into training.
@@ -218,7 +217,6 @@ void Framework::engineer_features_fleet() {
   // k-wide slice exactly as the in-RAM path does post-selection.
   ml::Dataset raw = ml::materialize_columns(source, feature_indices_);
   raw = ml::clean(raw);
-  raw_all_ = raw;
 
   util::Rng rng(config_.seed);
   ml::TrainValTest split = ml::paper_protocol_split(raw, rng);

@@ -179,7 +179,6 @@ class Framework {
   std::uint32_t completed_phases_ = 0;  // bit i == Phase i done
 
   std::optional<sim::HpcCorpus> corpus_;
-  ml::Dataset raw_all_;  // full engineered-feature dataset pre-split
 
   ml::StandardScaler scaler_;
   std::vector<std::size_t> feature_indices_;

@@ -38,14 +38,13 @@ DetectionRuntime::DetectionRuntime(Framework& framework, RuntimeConfig config)
   integrity_alarms_ = &reg.counter("drlhmd.runtime.integrity.alarms");
   quarantine_gauge_ = &reg.gauge("drlhmd.runtime.quarantine_size");
   retrain_gauge_ = &reg.gauge("drlhmd.runtime.retrain_count");
-  const obs::TailConfig& tail_cfg = obs::default_latency_tail_config();
-  tail_predictor_ = &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg,
-                              {{"stage", "predictor"}});
-  tail_detector_ = &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg,
-                             {{"stage", "detector"}});
-  tail_integrity_ = &reg.tail("drlhmd.runtime.stage_tail_us", tail_cfg,
-                              {{"stage", "integrity"}});
-  tail_batch_ = &reg.tail("drlhmd.runtime.batch_tail_us", tail_cfg);
+  tail_predictor_ =
+      &reg.tail("drlhmd.runtime.stage_tail_us", {{"stage", "predictor"}});
+  tail_detector_ =
+      &reg.tail("drlhmd.runtime.stage_tail_us", {{"stage", "detector"}});
+  tail_integrity_ =
+      &reg.tail("drlhmd.runtime.stage_tail_us", {{"stage", "integrity"}});
+  tail_batch_ = &reg.tail("drlhmd.runtime.batch_tail_us");
 }
 
 RuntimeStats DetectionRuntime::stats() const {
@@ -133,19 +132,19 @@ BatchOutcome DetectionRuntime::process_batch(ml::BatchView batch,
     const ml::BatchView remaining = batch.rows_slice(start, pending);
     auto flagged = scope.alloc<std::uint8_t>(pending);
     auto predictions = scope.alloc<int>(pending);
-    util::parallel_pipeline(
+    util::parallel_for_chunks(
         "runtime.batch_score", std::size_t{0}, pending, 0,
         [&](std::size_t, std::size_t begin, std::size_t end) {
-          const obs::ScopedLatency t(predictor_tail);
-          predictor.is_adversarial_batch(
-              remaining.rows_slice(begin, end - begin),
-              std::span<std::uint8_t>(flagged.data() + begin, end - begin));
-        },
-        [&](std::size_t, std::size_t begin, std::size_t end) {
+          const ml::BatchView rows = remaining.rows_slice(begin, end - begin);
+          {
+            const obs::ScopedLatency t(predictor_tail);
+            predictor.is_adversarial_batch(
+                rows,
+                std::span<std::uint8_t>(flagged.data() + begin, end - begin));
+          }
           const obs::ScopedLatency t(detector_tail);
           controller.predict_batch(
-              remaining.rows_slice(begin, end - begin),
-              std::span<int>(predictions.data() + begin, end - begin));
+              rows, std::span<int>(predictions.data() + begin, end - begin));
         });
 
     // Serial commit in row order.  When a retrain swaps the deployed

@@ -17,8 +17,14 @@ constexpr std::size_t kGrain = 16;
 
 }  // namespace
 
-void matmul_rows(const double* a, std::size_t rows, std::size_t depth,
-                 const double* b, std::size_t n, double* out) {
+// Cache-line aligned entry: this loop is the predictor critic's arithmetic,
+// the largest share of serving time, and its speed otherwise follows the
+// size of unrelated code linked before it (single traced serve_peak runs
+// read 2.5, 3.3 and 3.8 us of process_batch per row with its start 0, 16
+// and 48 bytes past a cache line).
+[[gnu::aligned(64)]] void matmul_rows(const double* a, std::size_t rows,
+                                      std::size_t depth, const double* b,
+                                      std::size_t n, double* out) {
   std::fill(out, out + rows * n, 0.0);
   // The zero test sits on a(i, k) once per B row, leaving the contiguous j
   // sweep free to vectorize.

@@ -1,11 +1,14 @@
 #include "ml/sharded_dataset.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/artifact.hpp"
 #include "util/serialize.hpp"
@@ -97,6 +100,20 @@ std::vector<std::string> shard_paths(const std::string& dir) {
   }
   std::sort(paths.begin(), paths.end());
   return paths;
+}
+
+/// Shard index carried by a canonical shard_file_name(), if `path` has one.
+std::optional<std::uint32_t> index_from_name(const std::string& path) {
+  const std::string name = std::filesystem::path(path).filename().string();
+  constexpr std::string_view kPrefix = "shard-";
+  if (!name.starts_with(kPrefix)) return std::nullopt;
+  std::uint32_t index = 0;
+  const char* digits = name.data() + kPrefix.size();
+  if (std::from_chars(digits, name.data() + name.size(), index).ec !=
+          std::errc() ||
+      shard_file_name(index) != name)
+    return std::nullopt;
+  return index;
 }
 
 }  // namespace
@@ -201,7 +218,10 @@ std::vector<ShardInfo> ShardedDataset::inspect(const std::string& dir) {
       info = h.info;
       info.crc_ok = payload_crc_ok(file, h);
     } catch (const std::exception&) {
-      info.crc_ok = false;  // unreadable/garbled shard: report, don't throw
+      // Unreadable/garbled shard: report it under the index its file name
+      // gives, don't throw.
+      info.index = index_from_name(path).value_or(0);
+      info.crc_ok = false;
     }
     infos.push_back(std::move(info));
   }

@@ -72,7 +72,8 @@ class ShardedDataset final : public DataSource {
   static ShardedDataset open(const std::string& dir, bool verify_crc = true);
 
   /// Lenient per-shard inspection (never throws on a bad shard: its
-  /// crc_ok is simply false).  Used by `hmdctl corpus info`.
+  /// crc_ok is simply false, and its index is the one its canonical file
+  /// name gives).  Used by `hmdctl corpus info` and the resume survey.
   static std::vector<ShardInfo> inspect(const std::string& dir);
 
   std::size_t num_shards() const override { return shards_.size(); }

@@ -51,7 +51,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
 }
 
 ShardedTailHistogram& MetricsRegistry::tail(const std::string& name,
-                                            const TailConfig& config,
                                             const Labels& labels) {
   const std::string key = metric_key(name, labels);
   const std::lock_guard<std::mutex> lock(mu_);
@@ -60,7 +59,7 @@ ShardedTailHistogram& MetricsRegistry::tail(const std::string& name,
     it = tails_
              .emplace(key, Entry<ShardedTailHistogram>{
                                name, labels,
-                               std::make_unique<ShardedTailHistogram>(config)})
+                               std::make_unique<ShardedTailHistogram>()})
              .first;
   }
   return *it->second.metric;

@@ -96,11 +96,8 @@ class MetricsRegistry {
  public:
   Counter& counter(const std::string& name, const Labels& labels = {});
   Gauge& gauge(const std::string& name, const Labels& labels = {});
-  /// Exact tail-latency histogram (sharded, wait-free observe).  The config
-  /// applies on first registration only (later calls with the same identity
-  /// reuse the existing recorder regardless of config).
+  /// Exact tail-latency histogram (sharded, wait-free observe).
   ShardedTailHistogram& tail(const std::string& name,
-                             const TailConfig& config = {},
                              const Labels& labels = {});
 
   MetricsSnapshot snapshot() const;

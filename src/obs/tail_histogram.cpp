@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <stdexcept>
 
 #include "obs/clock.hpp"
 
@@ -11,29 +10,9 @@ namespace drlhmd::obs {
 // ---------------------------------------------------------------------------
 // Layout.
 
-TailLayout::TailLayout(const TailConfig& config) {
-  if (config.precision_bits < 1 || config.precision_bits > 14)
-    throw std::invalid_argument("TailLayout: precision_bits must be in [1,14]");
-  if (!(config.ticks_per_unit > 0.0) || !std::isfinite(config.ticks_per_unit))
-    throw std::invalid_argument("TailLayout: ticks_per_unit must be positive");
-  if (!(config.max_value > 0.0) || !std::isfinite(config.max_value))
-    throw std::invalid_argument("TailLayout: max_value must be positive");
-
-  precision_bits_ = config.precision_bits;
-  sub_half_shift_ = precision_bits_;
-  sub_half_count_ = std::uint64_t{1} << precision_bits_;
-  sub_count_ = sub_half_count_ * 2;
-  sub_mask_ = sub_count_ - 1;
-  ticks_per_unit_ = config.ticks_per_unit;
-
-  const double requested_ticks = config.max_value * ticks_per_unit_;
-  // Bound far below 2^63 so shifts and sums never overflow.
-  const double kCeiling = 9.0e18;
-  std::uint64_t requested =
-      requested_ticks >= kCeiling
-          ? static_cast<std::uint64_t>(kCeiling)
-          : static_cast<std::uint64_t>(std::llround(requested_ticks));
-  if (requested < sub_count_) requested = sub_count_;
+TailLayout::TailLayout() {
+  const auto requested =
+      static_cast<std::uint64_t>(std::llround(kMaxValue * kTicksPerUnit));
   // Snap the range up to the top of the enclosing bucket so the last
   // bucket is fully usable.
   max_ticks_ = requested;  // provisional: index_for needs a value in range
@@ -42,7 +21,7 @@ TailLayout::TailLayout(const TailConfig& config) {
 }
 
 std::uint64_t TailLayout::ticks_for(double value) const {
-  const double scaled = value * ticks_per_unit_;
+  const double scaled = value * kTicksPerUnit;
   if (scaled >= static_cast<double>(max_ticks_)) return max_ticks_;
   return static_cast<std::uint64_t>(std::llround(scaled));
 }
@@ -50,35 +29,30 @@ std::uint64_t TailLayout::ticks_for(double value) const {
 std::size_t TailLayout::index_for(std::uint64_t ticks) const {
   if (ticks > max_ticks_) ticks = max_ticks_;
   // Octave of the value relative to the linear range: values below
-  // sub_count_ land in bucket 0 with unit-width slots; each octave above
+  // kSubCount land in bucket 0 with unit-width slots; each octave above
   // doubles the slot width and reuses the upper half of the sub-bucket
   // index space.
-  const int bucket = std::bit_width(ticks | sub_mask_) - 1 - sub_half_shift_;
+  const int bucket = std::bit_width(ticks | kSubMask) - 1 - kPrecisionBits;
   const std::uint64_t sub = ticks >> (bucket > 0 ? bucket : 0);
   const int b = bucket > 0 ? bucket : 0;
-  return (static_cast<std::size_t>(b) << sub_half_shift_) +
+  return (static_cast<std::size_t>(b) << kPrecisionBits) +
          static_cast<std::size_t>(sub);
 }
 
 std::uint64_t TailLayout::lowest_equivalent(std::size_t index) const {
-  if (index < sub_count_) return index;
-  const int bucket = static_cast<int>(index >> sub_half_shift_) - 1;
+  if (index < kSubCount) return index;
+  const int bucket = static_cast<int>(index >> kPrecisionBits) - 1;
   const std::uint64_t sub =
-      index - (static_cast<std::size_t>(bucket) << sub_half_shift_);
+      index - (static_cast<std::size_t>(bucket) << kPrecisionBits);
   return sub << bucket;
 }
 
 std::uint64_t TailLayout::highest_equivalent(std::size_t index) const {
-  if (index < sub_count_) return index;
-  const int bucket = static_cast<int>(index >> sub_half_shift_) - 1;
+  if (index < kSubCount) return index;
+  const int bucket = static_cast<int>(index >> kPrecisionBits) - 1;
   const std::uint64_t sub =
-      index - (static_cast<std::size_t>(bucket) << sub_half_shift_);
+      index - (static_cast<std::size_t>(bucket) << kPrecisionBits);
   return ((sub + 1) << bucket) - 1;
-}
-
-const TailConfig& default_latency_tail_config() {
-  static const TailConfig config{};
-  return config;
 }
 
 namespace {
@@ -99,8 +73,7 @@ SampleKind classify(const TailLayout& layout, double value,
 // ---------------------------------------------------------------------------
 // TailHistogram.
 
-TailHistogram::TailHistogram(const TailConfig& config)
-    : layout_(config), counts_(layout_.num_counts(), 0) {}
+TailHistogram::TailHistogram() : counts_(layout_.num_counts(), 0) {}
 
 void TailHistogram::observe(double value) {
   std::uint64_t ticks = 0;
@@ -173,8 +146,6 @@ void TailHistogram::fold_stats(std::uint64_t dropped, std::uint64_t saturated,
 }
 
 void TailHistogram::merge(const TailHistogram& other) {
-  if (!(layout_ == other.layout_))
-    throw std::invalid_argument("TailHistogram::merge: layout mismatch");
   for (std::size_t i = 0; i < counts_.size(); ++i)
     counts_[i] += other.counts_[i];
   count_ += other.count_;
@@ -243,8 +214,7 @@ struct ShardedTailHistogram::Shard {
   std::atomic<std::uint64_t> max_ticks{0};
 };
 
-ShardedTailHistogram::ShardedTailHistogram(const TailConfig& config)
-    : layout_(config) {
+ShardedTailHistogram::ShardedTailHistogram() {
   for (auto& slot : shards_) slot.store(nullptr, std::memory_order_relaxed);
 }
 
@@ -308,12 +278,7 @@ void ShardedTailHistogram::reset() {
 }
 
 TailHistogram ShardedTailHistogram::aggregate() const {
-  TailConfig config;
-  config.max_value =
-      static_cast<double>(layout_.max_ticks()) / layout_.ticks_per_unit();
-  config.precision_bits = layout_.precision_bits();
-  config.ticks_per_unit = layout_.ticks_per_unit();
-  TailHistogram merged(config);
+  TailHistogram merged;
   for (const auto& slot : shards_) {
     const Shard* shard = slot.load(std::memory_order_acquire);
     if (shard == nullptr) continue;

@@ -3,13 +3,14 @@
 // numbers trustworthy:
 //
 //   * Log-linear buckets: values are mapped to integer ticks and bucketed
-//     with `precision_bits` of linear resolution per power-of-two range
-//     (default 7 bits => every bucket is within 2^-7 ~ 0.8% of its value).
+//     with 7 bits of linear resolution per power-of-two range, so every
+//     bucket is within 2^-7 ~ 0.8% of its value.
 //     Quantiles walk the counts array, so p50..p9999 are exact up to one
 //     bucket's width — no estimator drift, no sample retention.
-//   * merge() is lossless: two histograms with the same layout add
-//     bucket-by-bucket, so per-thread/per-shard recordings aggregate into
-//     exactly the histogram a single serial recorder would have produced.
+//   * merge() is lossless: every histogram shares one fixed layout, so two
+//     histograms add bucket-by-bucket and per-thread/per-shard recordings
+//     aggregate into exactly the histogram a single serial recorder would
+//     have produced.
 //     Sums accumulate in integer ticks, so merged totals are independent
 //     of merge order (bitwise-deterministic snapshots at any thread count).
 //
@@ -29,32 +30,21 @@
 
 namespace drlhmd::obs {
 
-/// Value range + resolution of a tail histogram.  Values are recorded in
-/// "units" (the obs layer records microseconds) and quantized to integer
-/// ticks at `ticks_per_unit` resolution (default: nanosecond ticks on
-/// microsecond values).
-struct TailConfig {
-  double max_value = 1e8;       // largest trackable value, in units (100 s)
-  int precision_bits = 7;       // linear sub-bucket bits per octave
-  double ticks_per_unit = 1e3;  // quantization (1000 => ns ticks on us)
-};
-
 /// Shared bucket geometry: value->index and index->value maps used by both
-/// the plain histogram and the sharded recorder's atomic shards.
+/// the plain histogram and the sharded recorder's atomic shards.  Values are
+/// recorded in "units" (the obs layer records microseconds) and quantized
+/// to integer ticks; the geometry is fixed for every recorder.
 class TailLayout {
  public:
-  explicit TailLayout(const TailConfig& config);
+  static constexpr double kMaxValue = 1e8;     // largest value, in units (100 s)
+  static constexpr int kPrecisionBits = 7;     // linear sub-bucket bits per octave
+  static constexpr double kTicksPerUnit = 1e3; // 1000 => ns ticks on us
+
+  TailLayout();
 
   std::size_t num_counts() const { return num_counts_; }
-  std::uint64_t max_ticks() const { return max_ticks_; }
-  double ticks_per_unit() const { return ticks_per_unit_; }
-  int precision_bits() const { return precision_bits_; }
-
-  bool operator==(const TailLayout& other) const {
-    return precision_bits_ == other.precision_bits_ &&
-           max_ticks_ == other.max_ticks_ &&
-           ticks_per_unit_ == other.ticks_per_unit_;
-  }
+  double ticks_per_unit() const { return kTicksPerUnit; }
+  int precision_bits() const { return kPrecisionBits; }
 
   /// Quantize a value in units to ticks (caller has already rejected
   /// non-finite and negative values).  Saturating: ticks above the range
@@ -67,24 +57,21 @@ class TailLayout {
   std::uint64_t highest_equivalent(std::size_t index) const;
   /// Largest value (in units) representable without saturating.
   double max_value() const {
-    return static_cast<double>(max_ticks_) / ticks_per_unit_;
+    return static_cast<double>(max_ticks_) / kTicksPerUnit;
   }
 
  private:
-  int precision_bits_;
-  int sub_half_shift_;              // == precision_bits
-  std::uint64_t sub_count_;         // 2^(precision_bits+1)
-  std::uint64_t sub_half_count_;    // 2^precision_bits
-  std::uint64_t sub_mask_;          // sub_count - 1
+  // Linear slots of the first octave: 2^(kPrecisionBits + 1).
+  static constexpr std::uint64_t kSubCount = std::uint64_t{2} << kPrecisionBits;
+  static constexpr std::uint64_t kSubMask = kSubCount - 1;
   std::uint64_t max_ticks_;         // highest trackable tick (inclusive)
-  double ticks_per_unit_;
   std::size_t num_counts_;
 };
 
 /// Plain (single-writer) log-linear histogram.
 class TailHistogram {
  public:
-  explicit TailHistogram(const TailConfig& config = {});
+  TailHistogram();
 
   /// Record one value (in units).  NaN and negative values are dropped
   /// (counted, never poisoning min/max/sum); values above the range
@@ -103,7 +90,7 @@ class TailHistogram {
   double min() const;  // NaN when empty
   double max() const;  // NaN when empty
 
-  /// Lossless merge; throws std::invalid_argument on layout mismatch.
+  /// Lossless merge.
   void merge(const TailHistogram& other);
 
   /// Forget every observation, keeping the layout.
@@ -168,7 +155,7 @@ class ShardedTailHistogram {
  public:
   static constexpr std::size_t kShardSlots = 64;
 
-  explicit ShardedTailHistogram(const TailConfig& config = {});
+  ShardedTailHistogram();
   ~ShardedTailHistogram();
   ShardedTailHistogram(const ShardedTailHistogram&) = delete;
   ShardedTailHistogram& operator=(const ShardedTailHistogram&) = delete;
@@ -195,9 +182,5 @@ class ShardedTailHistogram {
   TailLayout layout_;
   std::atomic<Shard*> shards_[kShardSlots];
 };
-
-/// Default config for latency-in-microseconds metrics: ns ticks, 100 s
-/// ceiling, ~0.8% worst-case bucket error.
-const TailConfig& default_latency_tail_config();
 
 }  // namespace drlhmd::obs

@@ -45,8 +45,7 @@ class ParallelTelemetryBridge final : public util::ParallelObserver {
     const std::uint64_t flow = tracer.next_flow_id();
     auto* token = new RegionToken;
     token->label = label;
-    token->chunk_tail = &reg.tail("drlhmd.parallel.chunk_us",
-                                  default_latency_tail_config(), labels);
+    token->chunk_tail = &reg.tail("drlhmd.parallel.chunk_us", labels);
     token->flow_id = flow;
     token->span =
         tracer.span(std::string("parallel.") + label, "parallel", flow);

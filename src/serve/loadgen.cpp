@@ -68,7 +68,7 @@ LoadPointReport run_open_loop(DetectionServer& server, ml::BatchView rows,
 
   // ---- collector: the single consumer of every completion queue. -------
   std::atomic<bool> collector_stop{false};
-  obs::TailHistogram e2e(obs::default_latency_tail_config());
+  obs::TailHistogram e2e;
   std::uint64_t collected = 0;
   std::uint64_t last_verdict_tick = start_tick;
   std::thread collector([&] {

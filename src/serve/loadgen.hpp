@@ -53,9 +53,9 @@ struct LoadPointReport {
 };
 
 /// Drive one offered-load point against the server: start its drain
-/// workers, run the producers open-loop over `rows` (each arrival sends a
+/// thread, run the producers open-loop over `rows` (each arrival sends a
 /// uniformly drawn row) for duration_s, wait for the rings to drain, stop
-/// the workers, and report.  The server must be idle (not running, empty
+/// the drain thread, and report.  The server must be idle (not running, empty
 /// completion queues, this thread the only user) on entry; it is returned
 /// idle.
 LoadPointReport run_open_loop(DetectionServer& server, ml::BatchView rows,

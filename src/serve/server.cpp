@@ -5,7 +5,6 @@
 
 #include "obs/clock.hpp"
 #include "obs/telemetry.hpp"
-#include "util/parallel.hpp"
 
 namespace drlhmd::serve {
 
@@ -32,10 +31,6 @@ DetectionServer::DetectionServer(core::DetectionRuntime& runtime,
     throw std::invalid_argument("DetectionServer: shards");
   if (config_.max_batch == 0)
     throw std::invalid_argument("DetectionServer: max_batch");
-  if (config_.workers == 0) config_.workers = 1;
-  // A worker with no shards would spin forever; shards bound the useful
-  // drain parallelism.
-  if (config_.workers > config_.shards) config_.workers = config_.shards;
 
   rings_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s)
@@ -45,17 +40,9 @@ DetectionServer::DetectionServer(core::DetectionRuntime& runtime,
     completions_.push_back(
         std::make_unique<SpscRing<VerdictRecord>>(config_.completion_capacity));
   sessions_ = std::make_unique<HostSession[]>(config_.hosts);
-
-  workers_.reserve(config_.workers);
-  for (std::size_t w = 0; w < config_.workers; ++w) {
-    auto worker = std::make_unique<Worker>();
-    worker->index = w;
-    worker->tile = ml::FeatureMatrix(config_.max_batch, cols_);
-    worker->meta.resize(config_.max_batch);
-    worker->verdicts.resize(config_.max_batch);
-    worker->next_shard = w;
-    workers_.push_back(std::move(worker));
-  }
+  tile_ = ml::FeatureMatrix(config_.max_batch, cols_);
+  meta_.resize(config_.max_batch);
+  verdicts_.resize(config_.max_batch);
 
   obs::MetricsRegistry& reg = *registry_;
   enqueued_ = &reg.counter("drlhmd.serve.enqueued");
@@ -68,10 +55,9 @@ DetectionServer::DetectionServer(core::DetectionRuntime& runtime,
   flush_wait_ = &reg.counter("drlhmd.serve.flushes", {{"reason", "wait"}});
   flush_drain_ = &reg.counter("drlhmd.serve.flushes", {{"reason", "drain"}});
   retrains_ = &reg.counter("drlhmd.serve.retrains");
-  const obs::TailConfig& tail_cfg = obs::default_latency_tail_config();
-  e2e_us_ = &reg.tail("drlhmd.serve.e2e_us", tail_cfg);
-  batch_rows_ = &reg.tail("drlhmd.serve.batch_rows", tail_cfg);
-  score_us_ = &reg.tail("drlhmd.serve.score_us", tail_cfg);
+  e2e_us_ = &reg.tail("drlhmd.serve.e2e_us");
+  batch_rows_ = &reg.tail("drlhmd.serve.batch_rows");
+  score_us_ = &reg.tail("drlhmd.serve.score_us");
 }
 
 DetectionServer::~DetectionServer() { stop(); }
@@ -111,45 +97,38 @@ DetectionServer::EnqueueResult DetectionServer::try_enqueue(
   return result;
 }
 
-std::size_t DetectionServer::stage(Worker& worker, bool all_shards) {
+std::size_t DetectionServer::stage() {
   std::size_t popped = 0;
   const std::size_t n_shards = rings_.size();
   for (std::size_t visited = 0;
-       visited < n_shards && worker.staged < config_.max_batch; ++visited) {
-    const std::size_t s = (worker.next_shard + visited) % n_shards;
-    if (!all_shards && s % config_.workers != worker.index) continue;
+       visited < n_shards && staged_ < config_.max_batch; ++visited) {
+    MpscRing<HpcSample>& ring = *rings_[(next_shard_ + visited) % n_shards];
     HpcSample sample;
-    while (worker.staged < config_.max_batch && rings_[s]->try_pop(sample)) {
-      if (worker.staged == 0) worker.oldest_tick_ns = sample.enqueue_tick_ns;
+    while (staged_ < config_.max_batch && ring.try_pop(sample)) {
+      if (staged_ == 0) oldest_tick_ns_ = sample.enqueue_tick_ns;
       for (std::size_t c = 0; c < cols_; ++c)
-        worker.tile.at(worker.staged, c) = sample.features[c];
-      worker.meta[worker.staged] = sample;
-      ++worker.staged;
+        tile_.at(staged_, c) = sample.features[c];
+      meta_[staged_] = sample;
+      ++staged_;
       ++popped;
     }
   }
   // Rotate the starting shard so a hot shard cannot starve the others of
   // tile space when the batcher is saturated.
-  worker.next_shard = (worker.next_shard + 1) % n_shards;
+  next_shard_ = (next_shard_ + 1) % n_shards;
   return popped;
 }
 
-std::size_t DetectionServer::flush(Worker& worker, FlushReason reason) {
-  const std::size_t n = worker.staged;
+std::size_t DetectionServer::flush(FlushReason reason) {
+  const std::size_t n = staged_;
   if (n == 0) return 0;
 
   const bool traced = obs::Telemetry::enabled();
   const double start_us = obs::now_us_since_epoch();
-  {
-    // The runtime is single-threaded by contract; with the default one
-    // drain worker this lock is uncontended and the fast path stays
-    // lock-free end to end (the lock only serializes multi-worker flushes).
-    std::lock_guard<std::mutex> lock(score_mu_);
-    const core::BatchOutcome outcome = runtime_.process_batch(
-        worker.tile.view().rows_slice(0, n),
-        std::span<core::TrafficVerdict>(worker.verdicts.data(), n));
-    if (outcome.retrains != 0) retrains_->inc(outcome.retrains);
-  }
+  const core::BatchOutcome outcome = runtime_.process_batch(
+      tile_.view().rows_slice(0, n),
+      std::span<core::TrafficVerdict>(verdicts_.data(), n));
+  if (outcome.retrains != 0) retrains_->inc(outcome.retrains);
   const std::uint64_t verdict_tick = now_ns();
   score_us_->observe(obs::now_us_since_epoch() - start_us);
   batch_rows_->observe(static_cast<double>(n));
@@ -163,12 +142,12 @@ std::size_t DetectionServer::flush(Worker& worker, FlushReason reason) {
 
   std::uint64_t routed = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const HpcSample& meta = worker.meta[i];
+    const HpcSample& meta = meta_[i];
     HostSession& session = sessions_[meta.host];
     VerdictRecord record;
     record.host = meta.host;
     record.seq = meta.seq;
-    record.verdict = worker.verdicts[i];
+    record.verdict = verdicts_[i];
     record.enqueue_tick_ns = meta.enqueue_tick_ns;
     record.verdict_tick_ns = verdict_tick;
     if (completions_[meta.host]->try_push(record)) {
@@ -178,7 +157,7 @@ std::size_t DetectionServer::flush(Worker& worker, FlushReason reason) {
       session.completion_dropped.fetch_add(1, std::memory_order_relaxed);
       completion_dropped_->inc();
     }
-    session.last_verdict.store(static_cast<std::uint8_t>(worker.verdicts[i]),
+    session.last_verdict.store(static_cast<std::uint8_t>(verdicts_[i]),
                                std::memory_order_relaxed);
     // End-to-end latency from the (possibly scheduled) enqueue tick; a
     // tick stamped "in the future" by a jittery producer clamps to zero
@@ -195,69 +174,61 @@ std::size_t DetectionServer::flush(Worker& worker, FlushReason reason) {
         "serve.flush", "serve", start_us,
         obs::now_us_since_epoch() - start_us);
   }
-  worker.staged = 0;
+  staged_ = 0;
   return n;
+}
+
+std::size_t DetectionServer::drain() {
+  std::size_t total = 0;
+  for (;;) {
+    stage();
+    if (staged_ == 0) return total;
+    total += flush(staged_ >= config_.max_batch ? FlushReason::kFull
+                                                : FlushReason::kDrain);
+  }
 }
 
 std::size_t DetectionServer::poll() {
   if (running())
     throw std::logic_error(
-        "DetectionServer::poll: background workers are running");
-  Worker& worker = *workers_[0];
-  std::size_t total = 0;
-  for (;;) {
-    stage(worker, /*all_shards=*/true);
-    if (worker.staged == 0) break;
-    total += flush(worker, worker.staged >= config_.max_batch
-                               ? FlushReason::kFull
-                               : FlushReason::kDrain);
-  }
-  return total;
+        "DetectionServer::poll: the drain thread is running");
+  return drain();
 }
 
-void DetectionServer::worker_main(Worker& worker) {
-  if (config_.pin_workers) util::pin_current_thread(worker.index);
+void DetectionServer::drain_main() {
   while (running_.load(std::memory_order_acquire)) {
-    const std::size_t popped = stage(worker, /*all_shards=*/false);
-    if (worker.staged >= config_.max_batch) {
-      flush(worker, FlushReason::kFull);
+    const std::size_t popped = stage();
+    if (staged_ >= config_.max_batch) {
+      flush(FlushReason::kFull);
       continue;
     }
-    if (worker.staged > 0 &&
-        static_cast<std::int64_t>(now_ns() - worker.oldest_tick_ns) >=
+    if (staged_ > 0 &&
+        static_cast<std::int64_t>(now_ns() - oldest_tick_ns_) >=
             static_cast<std::int64_t>(max_wait_ns_)) {
-      flush(worker, FlushReason::kWait);
+      flush(FlushReason::kWait);
       continue;
     }
     if (popped == 0) {
       // Idle backoff: short enough to keep the max_wait_us promise, long
       // enough not to burn the core the scoring path needs.
-      std::this_thread::sleep_for(std::chrono::microseconds(
-          worker.staged > 0 ? 5 : 20));
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(staged_ > 0 ? 5 : 20));
     }
   }
   // Shutdown drain: every accepted sample still gets a verdict.
-  for (;;) {
-    stage(worker, /*all_shards=*/false);
-    if (worker.staged == 0) break;
-    flush(worker, worker.staged >= config_.max_batch ? FlushReason::kFull
-                                                     : FlushReason::kDrain);
-  }
+  drain();
 }
 
 void DetectionServer::start() {
   if (running()) return;
   running_.store(true, std::memory_order_release);
-  for (auto& worker : workers_)
-    worker->thread = std::thread([this, w = worker.get()] { worker_main(*w); });
+  drain_thread_ = std::thread([this] { drain_main(); });
 }
 
 void DetectionServer::stop() {
   if (!running()) return;
   running_.store(false, std::memory_order_release);
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  if (drain_thread_.joinable()) drain_thread_.join();
 }
 
 bool DetectionServer::try_pop_verdict(std::uint32_t host, VerdictRecord& out) {

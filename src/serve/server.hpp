@@ -3,22 +3,25 @@
 //
 // Thousands of simulated hosts push fixed-size HPC samples into per-shard
 // lock-free MPSC rings (serve/ring.hpp) — the enqueue path is one CAS plus
-// one release store, never a lock, never a heap allocation.  Drain workers
-// (optionally CPU-pinned) pull their shards through an *adaptive batcher*:
-// rows accumulate into a pre-sized columnar staging tile until either
-// `max_batch` rows are staged or the oldest staged sample has waited
+// one release store, never a lock, never a heap allocation.  One drain
+// thread visits every shard ring round-robin and feeds an *adaptive
+// batcher*: rows accumulate into a pre-sized columnar staging tile until
+// either `max_batch` rows are staged or the oldest staged sample has waited
 // `max_wait_us` microseconds, whichever happens first; the tile is then
 // scored in one DetectionRuntime::process_batch pass (the speculative
 // parallel path, arena-backed and zero-heap at steady state) and verdicts
-// are routed back to per-host SPSC completion queues.
+// are routed back to per-host SPSC completion queues.  Only the drain
+// thread, or a poll() caller while it is stopped, ever scores, so the
+// runtime's single-threaded contract holds without a lock.
 //
 // Session discipline: every host has a HostSession tracking its sample
 // sequence, enqueue/drop/delivery counters and last verdict.  Sequence
 // numbers are stamped on *arrival* — a sample shed at a full ring burns
 // its sequence number, so gaps in the delivered stream are exactly the
 // backpressure drops (which the caller reports as TrafficVerdict::kDropped).
-// Host → shard → worker mapping is static (host % shards, shard % workers),
-// which is what makes each completion queue single-producer.
+// Hosts map to shards statically (host % shards); several rings only
+// spread the producers' claim traffic.  The drain thread is the one writer
+// of every completion queue, which keeps each queue single-producer.
 //
 // Latency accounting: samples carry a caller-supplied enqueue tick (defaults
 // to "now") measured in nanoseconds since the shared obs telemetry epoch;
@@ -31,7 +34,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -85,8 +87,6 @@ struct ServeConfig {
   std::size_t completion_capacity = 256;  // per host; rounded up likewise
   std::size_t max_batch = 256;       // adaptive batcher: row cap per flush
   double max_wait_us = 500.0;        // adaptive batcher: oldest-sample age cap
-  std::size_t workers = 1;           // background drain threads (start())
-  bool pin_workers = false;          // pin drain workers to CPUs round-robin
   /// Registry receiving drlhmd.serve.* metrics; null keeps one private.
   obs::MetricsRegistry* registry = nullptr;
 };
@@ -112,8 +112,8 @@ struct ServeStats {
 /// thread (any number of hosts per producer; the per-shard rings are MPSC
 /// so producers never coordinate), each host's completion queue must be
 /// drained by exactly one consumer thread, and either the background
-/// workers run (start()/stop()) or a single thread pumps poll() — never
-/// both at once.
+/// drain thread runs (start()/stop()) or a single thread pumps poll() —
+/// never both at once.
 class DetectionServer {
  public:
   DetectionServer(core::DetectionRuntime& runtime, std::size_t feature_width,
@@ -140,10 +140,10 @@ class DetectionServer {
   /// Manual pump (tests, smoke modes): drain every ring on the calling
   /// thread, force-flushing staged rows in max_batch-sized tiles until the
   /// rings are empty.  Returns the number of verdicts produced.  Must not
-  /// be called while the background workers run.
+  /// be called while the background drain thread runs.
   std::size_t poll();
 
-  /// Start/stop the background drain workers.  stop() drains the rings and
+  /// Start/stop the background drain thread.  stop() drains the rings and
   /// flushes any staged rows before joining, so every accepted sample gets
   /// a verdict (producers must be quiesced first).
   void start();
@@ -173,7 +173,7 @@ class DetectionServer {
 
   /// Mutable per-host session state (single-writer fields, relaxed atomics
   /// so stats() can read them from any thread); padded so one host's
-  /// producer and its drain worker never share a line.
+  /// producer and the drain thread never share a line.
   struct alignas(kCacheLineBytes) HostSession {
     std::atomic<std::uint32_t> next_seq{0};
     std::atomic<std::uint64_t> enqueued{0};
@@ -183,23 +183,12 @@ class DetectionServer {
     std::atomic<std::uint8_t> last_verdict{0};
   };
 
-  /// One drain worker's staging state: a fixed-shape columnar tile plus
-  /// row metadata, pre-sized so the steady-state drain loop never touches
-  /// the heap.
-  struct Worker {
-    std::size_t index = 0;
-    ml::FeatureMatrix tile;                    // max_batch x cols, fixed
-    std::vector<HpcSample> meta;               // staged row -> wire metadata
-    std::vector<core::TrafficVerdict> verdicts;  // max_batch slots
-    std::size_t staged = 0;
-    std::uint64_t oldest_tick_ns = 0;          // enqueue tick of first staged row
-    std::size_t next_shard = 0;                // round-robin cursor
-    std::thread thread;
-  };
-
-  std::size_t stage(Worker& worker, bool all_shards);
-  std::size_t flush(Worker& worker, FlushReason reason);
-  void worker_main(Worker& worker);
+  std::size_t stage();
+  std::size_t flush(FlushReason reason);
+  /// Stage and flush (kFull or kDrain) until the rings and the tile are
+  /// empty: poll() and the drain thread's shutdown.
+  std::size_t drain();
+  void drain_main();
 
   core::DetectionRuntime& runtime_;
   ServeConfig config_;
@@ -209,9 +198,16 @@ class DetectionServer {
   std::vector<std::unique_ptr<MpscRing<HpcSample>>> rings_;        // per shard
   std::vector<std::unique_ptr<SpscRing<VerdictRecord>>> completions_;  // per host
   std::unique_ptr<HostSession[]> sessions_;
-  std::vector<std::unique_ptr<Worker>> workers_;
 
-  std::mutex score_mu_;  // serializes process_batch across drain workers
+  // Staging state: a fixed-shape columnar tile plus row metadata, pre-sized
+  // so the steady-state drain loop never touches the heap.
+  ml::FeatureMatrix tile_;                      // max_batch x cols, fixed
+  std::vector<HpcSample> meta_;                 // staged row -> wire metadata
+  std::vector<core::TrafficVerdict> verdicts_;  // max_batch slots
+  std::size_t staged_ = 0;
+  std::uint64_t oldest_tick_ns_ = 0;            // enqueue tick of first staged row
+  std::size_t next_shard_ = 0;                  // round-robin cursor
+
   std::atomic<bool> running_{false};
 
   obs::MetricsRegistry local_registry_;
@@ -233,6 +229,8 @@ class DetectionServer {
   obs::ShardedTailHistogram* e2e_us_;
   obs::ShardedTailHistogram* batch_rows_;
   obs::ShardedTailHistogram* score_us_;
+
+  std::thread drain_thread_;  // last: it uses every member above
 };
 
 }  // namespace drlhmd::serve

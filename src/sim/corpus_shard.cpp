@@ -155,10 +155,14 @@ ShardBuildStats build_corpus_sharded(const CorpusConfig& config,
     state.put(kManifestName, kManifestKind, kStateVersion, fingerprint);
   }
 
-  // Survey what already survived a previous (possibly interrupted) run.
+  // Survey what already survived a previous (possibly interrupted) run.  A
+  // file speaks for shard s only under s's canonical name: one this build
+  // did not write can neither stand in for a shard nor condemn one.
   std::map<std::size_t, bool> valid_on_disk;
   for (const ml::ShardInfo& info : ml::ShardedDataset::inspect(fleet.out_dir))
-    valid_on_disk[info.index] = info.crc_ok;
+    if (std::filesystem::path(info.path).filename() ==
+        ml::shard_file_name(info.index))
+      valid_on_disk[info.index] = info.crc_ok;
 
   ShardBuildStats stats;
   stats.shards_total = fleet.shards;

@@ -8,11 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "util/arena.hpp"
 
 namespace drlhmd::util {
@@ -286,20 +281,6 @@ void set_parallel_threads(std::size_t n) {
 }
 
 bool in_parallel_region() { return tl_in_region; }
-
-bool pin_current_thread(std::size_t cpu) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t target = hw == 0 ? 0 : cpu % hw;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(target, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
 
 ParallelStats parallel_stats() { return ThreadPool::instance().stats(); }
 

@@ -40,13 +40,6 @@ void set_parallel_threads(std::size_t n);
 /// True while the current thread is executing a chunk of a parallel region.
 bool in_parallel_region();
 
-/// Best-effort: pin the calling thread to CPU `cpu % hardware_concurrency`.
-/// Returns true when the affinity call succeeded, false on platforms
-/// without thread affinity or when the kernel rejects the mask.  Used by
-/// the serving tier's drain workers (ServeConfig.pin_workers) to keep each
-/// worker's staging tile and ring cachelines resident on one core.
-bool pin_current_thread(std::size_t cpu);
-
 /// Cumulative pool activity since process start (monotonic, thread-safe).
 struct ParallelStats {
   std::size_t threads = 1;           // current pool width
@@ -177,23 +170,6 @@ template <typename Fn>
 auto parallel_map(std::size_t begin, std::size_t end, std::size_t grain,
                   Fn&& fn) {
   return parallel_map(nullptr, begin, end, grain, std::forward<Fn>(fn));
-}
-
-/// Two-stage pipelined loop.  Each statically-assigned chunk of
-/// [begin, end) runs stage1(chunk, b, e) immediately followed by
-/// stage2(chunk, b, e) on the same worker, with no barrier between the
-/// stages: while one chunk is in stage2 (e.g. scoring), other workers run
-/// stage1 (e.g. preprocessing) of later chunks.  Chunk layout depends only
-/// on (range size, grain), and each chunk must touch only its own slots,
-/// so results are bitwise identical at any DRLHMD_THREADS.
-template <typename Stage1, typename Stage2>
-void parallel_pipeline(const char* label, std::size_t begin, std::size_t end,
-                       std::size_t grain, Stage1&& stage1, Stage2&& stage2) {
-  parallel_for_chunks(label, begin, end, grain,
-                      [&](std::size_t c, std::size_t b, std::size_t e) {
-                        stage1(c, b, e);
-                        stage2(c, b, e);
-                      });
 }
 
 }  // namespace drlhmd::util

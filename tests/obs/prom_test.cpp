@@ -15,8 +15,8 @@ MetricsSnapshot populated_snapshot() {
   reg.counter("drlhmd.runtime.verdicts", {{"verdict", "benign"}}).inc(10);
   reg.counter("drlhmd.runtime.verdicts", {{"verdict", "malware"}}).inc(3);
   reg.gauge("drlhmd.pipeline.progress").set(0.5);
-  ShardedTailHistogram& tail = reg.tail("drlhmd.runtime.stage_tail_us", {},
-                                        {{"stage", "predictor"}});
+  ShardedTailHistogram& tail =
+      reg.tail("drlhmd.runtime.stage_tail_us", {{"stage", "predictor"}});
   for (int i = 0; i < 1000; ++i) tail.observe(5.0 + (i % 50));
   return reg.snapshot();
 }

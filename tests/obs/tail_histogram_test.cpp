@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -42,7 +41,7 @@ double oracle_quantile(std::vector<double> sorted, double q) {
 }
 
 TEST(TailLayoutTest, IndexValueMapsAreConsistent) {
-  const TailLayout layout(TailConfig{});
+  const TailLayout layout;
   for (std::uint64_t ticks : {0ull, 1ull, 100ull, 255ull, 256ull, 257ull,
                               1000ull, 123456ull, 99999999ull}) {
     const std::size_t idx = layout.index_for(ticks);
@@ -57,7 +56,7 @@ TEST(TailLayoutTest, IndexValueMapsAreConsistent) {
 TEST(TailLayoutTest, BucketRelativeWidthBoundedByPrecision) {
   // Every bucket's width must stay within 2^-precision_bits of its value —
   // that is the exactness guarantee behind "exact-within-bucket" quantiles.
-  const TailLayout layout(TailConfig{});
+  const TailLayout layout;
   const double rel = 1.0 / static_cast<double>(1 << layout.precision_bits());
   for (std::size_t idx = 0; idx < layout.num_counts(); ++idx) {
     const std::uint64_t lo = layout.lowest_equivalent(idx);
@@ -67,21 +66,6 @@ TEST(TailLayoutTest, BucketRelativeWidthBoundedByPrecision) {
               static_cast<double>(hi) * rel)
         << "bucket " << idx;
   }
-}
-
-TEST(TailLayoutTest, RejectsBadConfigs) {
-  TailConfig bad;
-  bad.precision_bits = 0;
-  EXPECT_THROW(TailLayout{bad}, std::invalid_argument);
-  bad = TailConfig{};
-  bad.precision_bits = 15;
-  EXPECT_THROW(TailLayout{bad}, std::invalid_argument);
-  bad = TailConfig{};
-  bad.max_value = -1.0;
-  EXPECT_THROW(TailLayout{bad}, std::invalid_argument);
-  bad = TailConfig{};
-  bad.ticks_per_unit = 0.0;
-  EXPECT_THROW(TailLayout{bad}, std::invalid_argument);
 }
 
 TEST(TailHistogramTest, QuantilesMatchSortedOracleWithinBucketError) {
@@ -135,17 +119,15 @@ TEST(TailHistogramTest, DropsNonFiniteAndNegative) {
 }
 
 TEST(TailHistogramTest, SaturatesAboveRangeButStaysCounted) {
-  TailConfig cfg;
-  cfg.max_value = 1000.0;
-  TailHistogram h(cfg);
+  TailHistogram h;
   h.observe(10.0);
-  h.observe(1e12);  // far beyond the range
+  h.observe(1e12);  // far beyond the 1e8 us (100 s) ceiling
   EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.saturated(), 1u);
   EXPECT_EQ(h.dropped(), 0u);
   // The saturated sample is clamped into the top bucket, not lost.
   EXPECT_LE(h.max(), h.layout().max_value() + 1.0);
-  EXPECT_GE(h.quantile(1.0), 1000.0 * 0.99);
+  EXPECT_GE(h.quantile(1.0), 1e8 * 0.99);
 }
 
 TEST(TailHistogramTest, MergeEqualsSerialRecording) {
@@ -193,13 +175,6 @@ TEST(TailHistogramTest, MergeIsAssociativeAndCommutative) {
   EXPECT_EQ(s1.p50, s2.p50);
   EXPECT_EQ(s1.p99, s2.p99);
   EXPECT_EQ(s1.p9999, s2.p9999);
-}
-
-TEST(TailHistogramTest, MergeLayoutMismatchThrows) {
-  TailConfig other;
-  other.precision_bits = 5;
-  TailHistogram a, b(other);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 TEST(TailHistogramTest, SnapshotBucketsAreConsistent) {
@@ -260,12 +235,10 @@ TEST(ShardedTailHistogramTest, ConcurrentObservesAggregateExactly) {
 }
 
 TEST(ShardedTailHistogramTest, DroppedAndSaturatedPropagate) {
-  TailConfig cfg;
-  cfg.max_value = 100.0;
-  ShardedTailHistogram sharded(cfg);
+  ShardedTailHistogram sharded;
   sharded.observe(std::numeric_limits<double>::quiet_NaN());
   sharded.observe(-3.0);
-  sharded.observe(1e9);
+  sharded.observe(1e12);  // above the 1e8 us ceiling
   sharded.observe(5.0);
   const TailHistogram agg = sharded.aggregate();
   EXPECT_EQ(agg.dropped(), 2u);

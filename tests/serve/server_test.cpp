@@ -1,5 +1,5 @@
 // DetectionServer behavior: session/drop accounting under backpressure,
-// adaptive flush reasons, background drain workers, and the drlhmd.serve.*
+// adaptive flush reasons, the background drain thread, and the drlhmd.serve.*
 // metrics surface.
 #include "serve/server.hpp"
 
@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/framework.hpp"
@@ -65,49 +66,57 @@ TEST_F(ServerFixture, ManualPollAnswersEveryAcceptedSample) {
   const ml::Dataset& mix = framework_->attacked_test_mix();
   const std::size_t cols = mix.num_features();
 
-  ServeConfig cfg;
-  cfg.hosts = 4;
-  cfg.ring_capacity = 4096;
-  cfg.completion_capacity = 4096;
-  cfg.max_batch = 16;
-  DetectionServer server(runtime, cols, cfg);
+  // (hosts, shards): one ring, then 7 hosts over three rings, an uneven
+  // host -> shard spread the drain thread must visit in turn.
+  const std::pair<std::size_t, std::size_t> layouts[] = {{4, 1}, {7, 3}};
+  for (const auto& [hosts, shards] : layouts) {
+    SCOPED_TRACE(testing::Message() << hosts << " hosts, " << shards
+                                    << " shards");
+    ServeConfig cfg;
+    cfg.hosts = hosts;
+    cfg.shards = shards;
+    cfg.ring_capacity = 4096;
+    cfg.completion_capacity = 4096;
+    cfg.max_batch = 16;
+    DetectionServer server(runtime, cols, cfg);
 
-  const std::size_t n = std::min<std::size_t>(mix.size(), 64);
-  std::vector<std::size_t> per_host(cfg.hosts, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto host = static_cast<std::uint32_t>(i % cfg.hosts);
-    const std::vector<double> row = mix.row_copy(i);
-    const auto res = server.try_enqueue(host, row);
-    ASSERT_TRUE(res.accepted);
-    EXPECT_EQ(res.seq, per_host[host]);  // per-host sequence stamping
-    ++per_host[host];
-  }
-  EXPECT_EQ(server.poll(), n);
-
-  std::size_t popped = 0;
-  for (std::uint32_t host = 0; host < cfg.hosts; ++host) {
-    VerdictRecord rec;
-    std::uint32_t expected_seq = 0;
-    while (server.try_pop_verdict(host, rec)) {
-      EXPECT_EQ(rec.host, host);
-      EXPECT_EQ(rec.seq, expected_seq++);  // in-order per host
-      EXPECT_GE(rec.verdict_tick_ns, rec.enqueue_tick_ns);
-      EXPECT_NE(rec.verdict, core::TrafficVerdict::kDropped);
-      ++popped;
+    const std::size_t n = std::min<std::size_t>(mix.size(), 64);
+    std::vector<std::size_t> per_host(cfg.hosts, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto host = static_cast<std::uint32_t>(i % cfg.hosts);
+      const std::vector<double> row = mix.row_copy(i);
+      const auto res = server.try_enqueue(host, row);
+      ASSERT_TRUE(res.accepted);
+      EXPECT_EQ(res.seq, per_host[host]);  // per-host sequence stamping
+      ++per_host[host];
     }
-    const HostSessionSnapshot s = server.session(host);
-    EXPECT_EQ(s.enqueued, per_host[host]);
-    EXPECT_EQ(s.delivered, per_host[host]);
-    EXPECT_EQ(s.dropped, 0u);
-  }
-  EXPECT_EQ(popped, n);
+    EXPECT_EQ(server.poll(), n);
 
-  const ServeStats stats = server.stats();
-  EXPECT_EQ(stats.enqueued, n);
-  EXPECT_EQ(stats.scored, n);
-  EXPECT_EQ(stats.delivered, n);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.queue_depth, 0u);
+    std::size_t popped = 0;
+    for (std::uint32_t host = 0; host < cfg.hosts; ++host) {
+      VerdictRecord rec;
+      std::uint32_t expected_seq = 0;
+      while (server.try_pop_verdict(host, rec)) {
+        EXPECT_EQ(rec.host, host);
+        EXPECT_EQ(rec.seq, expected_seq++);  // in-order per host
+        EXPECT_GE(rec.verdict_tick_ns, rec.enqueue_tick_ns);
+        EXPECT_NE(rec.verdict, core::TrafficVerdict::kDropped);
+        ++popped;
+      }
+      const HostSessionSnapshot s = server.session(host);
+      EXPECT_EQ(s.enqueued, per_host[host]);
+      EXPECT_EQ(s.delivered, per_host[host]);
+      EXPECT_EQ(s.dropped, 0u);
+    }
+    EXPECT_EQ(popped, n);
+
+    const ServeStats stats = server.stats();
+    EXPECT_EQ(stats.enqueued, n);
+    EXPECT_EQ(stats.scored, n);
+    EXPECT_EQ(stats.delivered, n);
+    EXPECT_EQ(stats.dropped, 0u);
+    EXPECT_EQ(stats.queue_depth, 0u);
+  }
 }
 
 TEST_F(ServerFixture, FullRingBurnsSequenceNumbersAndCountsDrops) {
@@ -203,39 +212,47 @@ TEST_F(ServerFixture, BackgroundWorkersDrainEverythingOnStop) {
   core::DetectionRuntime runtime(*framework_, frozen_runtime_config());
   const ml::Dataset& mix = framework_->attacked_test_mix();
 
-  ServeConfig cfg;
-  cfg.hosts = 8;
-  cfg.ring_capacity = 4096;
-  cfg.completion_capacity = 1024;
-  cfg.max_batch = 32;
-  DetectionServer server(runtime, mix.num_features(), cfg);
+  // (hosts, shards): one ring, then 7 hosts over three rings.
+  const std::pair<std::size_t, std::size_t> layouts[] = {{8, 1}, {7, 3}};
+  for (const auto& [hosts, shards] : layouts) {
+    SCOPED_TRACE(testing::Message() << hosts << " hosts, " << shards
+                                    << " shards");
+    ServeConfig cfg;
+    cfg.hosts = hosts;
+    cfg.shards = shards;
+    cfg.ring_capacity = 4096;
+    cfg.completion_capacity = 1024;
+    cfg.max_batch = 32;
+    DetectionServer server(runtime, mix.num_features(), cfg);
 
-  server.start();
-  EXPECT_TRUE(server.running());
-  EXPECT_THROW(server.poll(), std::logic_error);
+    server.start();
+    EXPECT_TRUE(server.running());
+    EXPECT_THROW(server.poll(), std::logic_error);
 
-  const std::size_t n = 200;
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto res = server.try_enqueue(static_cast<std::uint32_t>(i % cfg.hosts),
-                                        mix.row_copy(i % mix.size()));
-    accepted += res.accepted ? 1 : 0;
+    const std::size_t n = 200;
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto res =
+          server.try_enqueue(static_cast<std::uint32_t>(i % cfg.hosts),
+                             mix.row_copy(i % mix.size()));
+      accepted += res.accepted ? 1 : 0;
+    }
+    ASSERT_EQ(accepted, n);  // ring far larger than the burst
+    server.stop();  // drains rings + staged rows before joining
+    EXPECT_FALSE(server.running());
+
+    const ServeStats stats = server.stats();
+    EXPECT_EQ(stats.scored, n);
+    EXPECT_EQ(stats.delivered, n);
+    EXPECT_EQ(stats.queue_depth, 0u);
+
+    std::size_t popped = 0;
+    for (std::uint32_t host = 0; host < cfg.hosts; ++host) {
+      VerdictRecord rec;
+      while (server.try_pop_verdict(host, rec)) ++popped;
+    }
+    EXPECT_EQ(popped, n);
   }
-  ASSERT_EQ(accepted, n);  // ring far larger than the burst
-  server.stop();  // drains rings + staged rows before joining
-  EXPECT_FALSE(server.running());
-
-  const ServeStats stats = server.stats();
-  EXPECT_EQ(stats.scored, n);
-  EXPECT_EQ(stats.delivered, n);
-  EXPECT_EQ(stats.queue_depth, 0u);
-
-  std::size_t popped = 0;
-  for (std::uint32_t host = 0; host < cfg.hosts; ++host) {
-    VerdictRecord rec;
-    while (server.try_pop_verdict(host, rec)) ++popped;
-  }
-  EXPECT_EQ(popped, n);
 }
 
 TEST_F(ServerFixture, PublishesServeGaugesAndCounters) {

@@ -1,6 +1,6 @@
 // Fleet-scale sharded corpus builds: machine-profile registry, shard
 // determinism across thread counts, per-shard resume after a simulated
-// interrupt, and the parameter-fingerprint guard.
+// interrupt or a truncated shard, and the parameter-fingerprint guard.
 #include "sim/corpus_shard.hpp"
 
 #include <gtest/gtest.h>
@@ -174,6 +174,37 @@ TEST(CorpusShardTest, ResumesPerShardAfterInterrupt) {
   EXPECT_EQ(third.shards_built, 0u);
   EXPECT_EQ(third.shards_resumed, 3u);
   EXPECT_TRUE(third.complete);
+}
+
+TEST(CorpusShardTest, ResumeRebuildsOnlyATruncatedShard) {
+  const CorpusConfig cfg = small_corpus();
+  const std::string dir = fresh_dir("fleet-truncated");
+  build_corpus_sharded(cfg, small_fleet(dir));
+  const auto path_of = [&dir](std::uint32_t s) {
+    return (std::filesystem::path(dir) / ml::shard_file_name(s)).string();
+  };
+  std::vector<std::vector<char>> reference;
+  for (std::uint32_t s = 0; s < 3; ++s)
+    reference.push_back(file_bytes(path_of(s)));
+
+  // 6 bytes: too short for even the magic and the header size, so the file
+  // carries no header index of its own.
+  std::filesystem::resize_file(path_of(2), 6);
+  const std::vector<ml::ShardInfo> infos = ml::ShardedDataset::inspect(dir);
+  ASSERT_EQ(infos.size(), 3u);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(infos[s].index, s);
+    EXPECT_EQ(std::filesystem::path(infos[s].path).filename(),
+              ml::shard_file_name(s));
+    EXPECT_EQ(infos[s].crc_ok, s != 2) << "shard " << s;
+  }
+
+  const ShardBuildStats resumed = build_corpus_sharded(cfg, small_fleet(dir));
+  EXPECT_EQ(resumed.shards_built, 1u);
+  EXPECT_EQ(resumed.shards_resumed, 2u);
+  EXPECT_TRUE(resumed.complete);
+  for (std::uint32_t s = 0; s < 3; ++s)
+    EXPECT_EQ(file_bytes(path_of(s)), reference[s]) << "shard " << s;
 }
 
 TEST(CorpusShardTest, RefusesMismatchedResumeParameters) {

@@ -9,8 +9,8 @@
 //   hmdctl simulate --family ransomware [--windows 4] [--seed 7]
 //   hmdctl pipeline [--benign 150 --malware 150] [--seed 2024] [--mi]
 //   hmdctl attack   [--benign 150 --malware 150] [--margin 0.9] [--steps 150]
-//   hmdctl serve    [--rate 20000] [--duration 1] [--hosts 256] [--workers 1]
-//                   [--max-batch 256] [--max-wait-us 500] [--pin]
+//   hmdctl serve    [--rate 20000] [--duration 1] [--hosts 256]
+//                   [--max-batch 256] [--max-wait-us 500]
 //   hmdctl telemetry [--benign 150 --malware 150] [--format json|table]
 //                    [--policy fast|small|best] [--log run.jsonl]
 //                    [--log-level info] [--chrome-trace trace.json]
@@ -509,8 +509,6 @@ int cmd_serve(const Args& args) {
   scfg.completion_capacity = 256;
   scfg.max_batch = static_cast<std::size_t>(args.get_uint("max-batch", 256));
   scfg.max_wait_us = args.get_double("max-wait-us", 500.0);
-  scfg.workers = static_cast<std::size_t>(args.get_uint("workers", 1));
-  scfg.pin_workers = args.has("pin");
   serve::DetectionServer server(runtime, rows.num_features(), scfg);
 
   serve::LoadGenConfig lcfg;
@@ -748,8 +746,8 @@ void usage(std::FILE* out) {
                "            --benign N --malware N --steps K --margin M\n"
                "  serve     detection-as-a-service smoke: one open-loop load\n"
                "            point through the lock-free serving tier\n"
-               "            --rate R --duration S --hosts N --workers W\n"
-               "            --max-batch B --max-wait-us U [--pin]\n"
+               "            --rate R --duration S --hosts N\n"
+               "            --max-batch B --max-wait-us U\n"
                "  telemetry pipeline + runtime stream with full telemetry\n"
                "            (includes drlhmd.serve.* serving-tier gauges)\n"
                "            --benign N --malware N --seed S [--mi]\n"
@@ -796,8 +794,8 @@ int main(int argc, char** argv) {
         {"attack", cmd_attack,
          with(kCorpusFlags, {"steps", "margin", "lambda"})},
         {"serve", cmd_serve,
-         with(kPipelineFlags, {"hosts", "max-batch", "max-wait-us", "workers",
-                               "pin", "rate", "duration", "producers"})},
+         with(kPipelineFlags, {"hosts", "max-batch", "max-wait-us", "rate",
+                               "duration", "producers"})},
         {"telemetry", cmd_telemetry,
          with(kPipelineFlags,
               {"log-level", "log", "retrain", "integrity-period", "policy",
